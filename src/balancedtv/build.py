@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .graph import SparseGraph
 
@@ -83,6 +82,8 @@ def _knn_distances(features: np.ndarray, k: int):
             idx[start:stop] = np.take_along_axis(part, order, axis=1)
             dist[start:stop] = np.sqrt(np.take_along_axis(part_d, order, axis=1))
         return dist, idx
+    # imported here: scipy.spatial is slow to load and small inputs never need it
+    from scipy.spatial import cKDTree
     tree = cKDTree(features)
     dist, idx = tree.query(features, k=k + 1)
     # with duplicate points self need not come first; drop it wherever it sits

@@ -15,7 +15,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,6 +160,7 @@ def parse_args(argv) -> RunSpec:
                 n_eig=options.neig,
                 dt=options.dt,
                 seed=options.seed,
+                trace=options.trace,
             )
         except ValueError as exc:
             parser.error(str(exc))
@@ -182,11 +183,7 @@ def _load_graph(options):
 
 
 def _partition_once(graph, basis, strategy, config, supervision, seed):
-    seeded = MboConfig(
-        gamma=config.gamma, nhat=config.nhat, n_eig=config.n_eig, dt=config.dt,
-        decay_epsilon=config.decay_epsilon, max_iters=config.max_iters,
-        seed=seed, refine=config.refine, refine_factor=config.refine_factor,
-    )
+    seeded = replace(config, seed=seed)
     start = time.perf_counter()
     if isinstance(strategy, RecursiveSplit):
         labels = recursive_partition(
@@ -246,7 +243,10 @@ def _run_partition(spec: RunSpec) -> int:
         outcomes = [_partition_once(*job) for job in jobs]
 
     rows = []
-    for seed, (labels, q, _result, ms) in zip(seeds, outcomes):
+    for seed, (labels, q, result, ms) in zip(seeds, outcomes):
+        if result is not None and not result.converged:
+            print(f"warning: seed {seed}: MBO with {result.nhat} communities did "
+                  f"not converge in max_iters={config.max_iters}", file=sys.stderr)
         cls = classification_rate(labels, truth) if truth is not None else None
         rows.append((seed, q, cls, ms))
 

@@ -21,7 +21,6 @@ from .graph import (
     Supervision,
     balanced_tv,
     labels_to_matrix,
-    matrix_to_labels,
     modularity,
 )
 
@@ -46,7 +45,8 @@ class MboConfig:
     ``n_eig`` defaults to 5 * nhat (capped at the node count downstream);
     ``dt`` overrides the automatic timestep when set; ``decay_epsilon`` is
     the target amplitude in the decay-time upper bound; ``refine`` continues
-    from the first fixed point with ``dt * refine_factor``.
+    from the first fixed point with ``dt * refine_factor``; ``trace`` records
+    every iterate's balanced TV and modularity, which costs more than the loop.
     """
 
     gamma: float
@@ -58,6 +58,7 @@ class MboConfig:
     seed: int = 0
     refine: bool = True
     refine_factor: float = 0.1
+    trace: bool = False
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -89,7 +90,7 @@ class MboResult:
     iterations: int
     dt_used: float
     energy_trace: np.ndarray       # balanced TV of each thresholded iterate
-    modularity_trace: np.ndarray   # modularity of each thresholded iterate
+    modularity_trace: np.ndarray   # its modularity; both empty unless config.trace
     modularity: float
     converged: bool
     nhat: int
@@ -155,14 +156,20 @@ def fidelity_step(u: np.ndarray, supervision: Supervision, dt: float) -> np.ndar
 
 def threshold(u: np.ndarray) -> np.ndarray:
     """Row-wise one-hot at the argmax; ties go to the lowest column index."""
+    return _threshold_with_labels(u)[0]
+
+
+def _threshold_with_labels(u):
+    """``threshold(u)`` together with the argmax labels it placed."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] < 1:
         raise ValueError("threshold expects an N x nhat matrix")
     if np.isnan(u).any():
         raise ValueError("NaN entry in assignment matrix")
+    labels = np.argmax(u, axis=1)
     out = np.zeros_like(u)
-    out[np.arange(u.shape[0]), np.argmax(u, axis=1)] = 1.0
-    return out
+    out[np.arange(u.shape[0]), labels] = 1.0
+    return out, labels
 
 
 def random_partition_matrix(n_nodes: int, nhat: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,22 +177,22 @@ def random_partition_matrix(n_nodes: int, nhat: int, rng: np.random.Generator) -
     return labels_to_matrix(rng.integers(0, nhat, size=n_nodes), nhat)
 
 
-def _sweep_to_fixed_point(basis, u, dt, supervision, max_iters):
+def _sweep_to_fixed_point(basis, u, dt, supervision, max_iters, history):
     """Threshold dynamics until the partition repeats; returns
-    (u, labels, iterations, converged, per-iteration labels list)."""
+    (u, labels, iterations, converged) and, when ``history`` is a list,
+    appends each iterate's labels to it."""
     labels = np.argmax(u, axis=1)
-    history = []
     for iteration in range(1, max_iters + 1):
         u_half = diffuse(basis, u, dt)
         if supervision is not None:
             u_half = fidelity_step(u_half, supervision, dt)
-        u_next = threshold(u_half)
-        labels_next = np.argmax(u_next, axis=1)
-        history.append(labels_next)
+        u_next, labels_next = _threshold_with_labels(u_half)
+        if history is not None:
+            history.append(labels_next)
         if np.array_equal(labels_next, labels):
-            return u_next, labels_next, iteration, True, history
+            return u_next, labels_next, iteration, True
         u, labels = u_next, labels_next
-    return u, labels, max_iters, False, history
+    return u, labels, max_iters, False
 
 
 def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
@@ -219,32 +226,31 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
             )
     dt = select_timestep(basis, graph, config.gamma, config)
 
-    u, labels, iters, converged, history = _sweep_to_fixed_point(
-        basis, u, dt, supervision, config.max_iters
+    history = [] if config.trace else None
+    u, labels, iters, converged = _sweep_to_fixed_point(
+        basis, u, dt, supervision, config.max_iters, history
     )
     if config.refine and converged:
-        u, labels, extra, converged, more = _sweep_to_fixed_point(
-            basis, u, dt * config.refine_factor, supervision, config.max_iters
+        u, labels, extra, converged = _sweep_to_fixed_point(
+            basis, u, dt * config.refine_factor, supervision, config.max_iters, history
         )
         iters += extra
-        history.extend(more)
 
     energy_trace = np.array(
         [balanced_tv(graph, labels_to_matrix(lab, config.nhat), config.gamma)
-         for lab in history]
+         for lab in history or []]
     )
     modularity_trace = np.array(
-        [modularity(graph, lab, config.gamma) for lab in history]
+        [modularity(graph, lab, config.gamma) for lab in history or []]
     )
-    final_labels = matrix_to_labels(u)
     return MboResult(
-        labels=final_labels,
+        labels=labels,
         u=u,
         iterations=iters,
         dt_used=dt,
         energy_trace=energy_trace,
         modularity_trace=modularity_trace,
-        modularity=modularity(graph, final_labels, config.gamma),
+        modularity=modularity(graph, labels, config.gamma),
         converged=converged,
         nhat=config.nhat,
     )

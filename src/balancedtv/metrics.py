@@ -6,7 +6,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["purity", "classification_rate", "RunBatch", "consistency"]
 
@@ -57,6 +56,8 @@ def classification_rate(predicted, truth) -> float:
         )
         return float(best) / float(n)
     if side <= ASSIGNMENT_LIMIT:
+        # imported here: scipy.optimize is slow to load and rarely needed
+        from scipy.optimize import linear_sum_assignment
         rows, cols = linear_sum_assignment(counts, maximize=True)
         return float(counts[rows, cols].sum()) / float(n)
     return purity(predicted, truth)

@@ -8,7 +8,7 @@ initialization used to seed runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,13 +160,21 @@ def sweep_nhat(graph: SparseGraph, gamma: float, nhats, config: MboConfig,
     automatic choice always included): fixed points of the threshold
     dynamics depend on the timestep, and with the basis amortized the extra
     runs are nearly free.  ``dt_ladder=0`` restricts the sweep to the
-    automatic timestep only.
+    automatic timestep only.  Counts too small to hold every supervised
+    class are skipped.
     """
     nhats = sorted(set(int(h) for h in nhats))
     if not nhats:
         raise ValueError("empty sweep range")
     if nhats[0] < 1:
         raise ValueError("community counts must be at least 1")
+    if supervision is not None:
+        sup_labels = np.argmax(supervision.targets, axis=1)
+        classes = int(sup_labels.max(initial=-1)) + 1
+        nhats = [nhat for nhat in nhats if nhat >= classes]
+        if not nhats:
+            raise ValueError(f"--sweep: every count is below the {classes} "
+                             "classes of --supervision")
     if basis is None:
         n_eig = min(5 * nhats[-1], graph.n_nodes)
         basis = smallest_eigenpairs(
@@ -178,22 +186,11 @@ def sweep_nhat(graph: SparseGraph, gamma: float, nhats, config: MboConfig,
         sup = None
         if supervision is not None:
             sup = Supervision.from_labels(
-                supervision.nodes,
-                np.argmax(supervision.targets, axis=1),
-                nhat,
-                supervision.weight,
+                supervision.nodes, sup_labels, nhat, supervision.weight
             )
         for dt in timesteps:
-            run_config = MboConfig(
-                gamma=gamma,
-                nhat=nhat,
-                n_eig=basis.n_eig,
-                dt=dt,
-                decay_epsilon=config.decay_epsilon,
-                max_iters=config.max_iters,
-                seed=config.seed,
-                refine=config.refine,
-                refine_factor=config.refine_factor,
+            run_config = replace(
+                config, gamma=gamma, nhat=nhat, n_eig=basis.n_eig, dt=dt
             )
             result = mbo_run(graph, basis, run_config, supervision=sup)
             if best is None or result.modularity > best.modularity:
@@ -233,16 +230,9 @@ def recursive_partition(graph: SparseGraph, gamma: float, config: MboConfig,
         sub_seed = config.seed + subproblem
         subproblem += 1
         basis = smallest_eigenpairs(op, n_eig, seed=sub_seed)
-        sub_config = MboConfig(
-            gamma=gamma,
-            nhat=strategy.split_factor,
-            n_eig=n_eig,
-            dt=config.dt,
-            decay_epsilon=config.decay_epsilon,
-            max_iters=config.max_iters,
-            seed=sub_seed,
-            refine=config.refine,
-            refine_factor=config.refine_factor,
+        sub_config = replace(
+            config, gamma=gamma, nhat=strategy.split_factor, n_eig=n_eig,
+            seed=sub_seed, trace=False,
         )
         init = kmeans_init(basis, strategy.split_factor, seed=sub_seed)
         result = mbo_run(sub, basis, sub_config, init=init)

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import balancedtv
 from balancedtv import load_labels, save_edge_list, save_labels
-from balancedtv.cli import main, parse_args
+from balancedtv.cli import main, parse_args, run
 from conftest import two_cliques
 
 
@@ -10,6 +16,27 @@ def write_cliques(tmp_path):
     path = tmp_path / "cliques.txt"
     save_edge_list(path, two_cliques(5))
     return path
+
+
+def write_planted(tmp_path, n, communities):
+    edges, truth = tmp_path / "planted.txt", tmp_path / "truth.csv"
+    assert main([
+        "generate", "planted", "--n", str(n), "--communities", str(communities),
+        "--degree-in", "8", "--degree-out", "0.5", "--seed", "2",
+        "--out", str(edges), "--labels-out", str(truth),
+    ]) == 0
+    return edges, truth
+
+
+def test_import_skips_slow_scipy_modules():
+    src = os.path.dirname(os.path.dirname(balancedtv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, balancedtv.cli; "
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestParseArgs:
@@ -169,6 +196,44 @@ class TestEndToEnd:
             "partition", "--edges", str(edges), "--sweep", "2..4",
             "--truth", str(truth), "--out", str(tmp_path / "swp"),
         ]) == 0
+
+    def test_sweep_writes_trace(self, tmp_path):
+        edges, _ = write_planted(tmp_path, 90, 3)
+        out = tmp_path / "swp"
+        assert main([
+            "partition", "--edges", str(edges), "--sweep", "2..4",
+            "--out", str(out), "--trace",
+        ]) == 0
+        trace_lines = open(f"{out}_trace.csv").read().splitlines()
+        assert trace_lines[0] == "iteration,balanced_tv,modularity"
+        assert len(trace_lines) >= 2
+
+    def test_sweep_with_more_supervised_classes_than_its_minimum(self, tmp_path):
+        edges, truth_path = write_planted(tmp_path, 80, 4)
+        truth = load_labels(truth_path)
+        nodes = [int(np.flatnonzero(truth == b)[0]) for b in range(4)]
+        sup = tmp_path / "known.csv"
+        sup.write_text("node,label\n" + "".join(f"{i},{truth[i]}\n" for i in nodes))
+        out = tmp_path / "ssl_sweep"
+        assert main([
+            "partition", "--edges", str(edges), "--sweep", "2..6",
+            "--supervision", str(sup), "--out", str(out),
+        ]) == 0
+        labels = load_labels(f"{out}_labels.csv")
+        assert np.array_equal(labels[nodes], truth[nodes])
+
+    def test_non_convergence_reported(self, tmp_path, capsys):
+        edges, _ = write_planted(tmp_path, 90, 3)
+        spec = parse_args([
+            "partition", "--edges", str(edges), "--nhat", "3", "--seed", "4",
+            "--out", str(tmp_path / "short"),
+        ])
+        spec.mbo_config = replace(spec.mbo_config, max_iters=1)
+        assert run(spec) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "seed 4" in err[0] and "3 communities" in err[0]
+        assert "max_iters=1" in err[0]
 
     def test_supervision_flag(self, tmp_path):
         edges = write_cliques(tmp_path)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ class TestMboRun:
     def test_determinism(self, rng):
         g = random_graph(rng, 30)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 10)
-        config = MboConfig(gamma=1.0, nhat=3, seed=11)
+        config = MboConfig(gamma=1.0, nhat=3, seed=11, trace=True)
         a = mbo_run(g, basis, config)
         b = mbo_run(g, basis, config)
         assert np.array_equal(a.labels, b.labels)
@@ -285,13 +286,34 @@ class TestMboRun:
     def test_result_consistency(self, rng):
         g = random_graph(rng, 25)
         basis = smallest_eigenpairs(DiffusionOperator(g, 0.8), 10)
-        result = mbo_run(g, basis, MboConfig(gamma=0.8, nhat=2, seed=5))
+        result = mbo_run(g, basis, MboConfig(gamma=0.8, nhat=2, seed=5, trace=True))
         assert np.array_equal(labels_to_matrix(result.labels, 2), result.u)
         assert np.all(np.isfinite(result.energy_trace))
         assert result.modularity == pytest.approx(
             modularity(g, result.labels, 0.8), rel=1e-12
         )
         assert result.energy_trace.size == result.iterations
+
+    def test_trace_off_changes_nothing_but_the_traces(self, rng):
+        g = random_graph(rng, 40)
+        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 12)
+        sup = Supervision.from_labels([0, 7, 21], [0, 1, 2], 3, weight=10.0)
+        for seed in range(4):
+            for supervision in (None, sup):
+                config = MboConfig(gamma=1.0, nhat=3, seed=seed)
+                off = mbo_run(g, basis, config, supervision=supervision)
+                on = mbo_run(g, basis, replace(config, trace=True),
+                             supervision=supervision)
+                assert np.array_equal(off.labels, on.labels)
+                assert off.labels.dtype == on.labels.dtype
+                assert np.array_equal(off.u, on.u)
+                assert off.iterations == on.iterations
+                assert off.dt_used == on.dt_used
+                assert off.modularity == on.modularity
+                assert off.converged == on.converged
+                assert off.energy_trace.size == off.modularity_trace.size == 0
+                assert on.energy_trace.size == on.iterations
+                assert on.modularity_trace[-1] == on.modularity
 
     def test_usually_improves_on_random_init(self, rng):
         from balancedtv import planted_partition

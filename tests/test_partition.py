@@ -7,6 +7,7 @@ from balancedtv import (
     FixedCommunities,
     MboConfig,
     RecursiveSplit,
+    Supervision,
     kmeans_init,
     matrix_to_labels,
     mbo_run,
@@ -18,6 +19,19 @@ from balancedtv import (
     sweep_nhat,
 )
 from conftest import complete_graph, random_graph, two_cliques
+
+
+def record_trace_flags(monkeypatch):
+    """Make partition's mbo_run log each run's ``config.trace``; returns the log."""
+    import balancedtv.partition as partition_mod
+
+    flags, real = [], partition_mod.mbo_run
+    monkeypatch.setattr(
+        partition_mod, "mbo_run",
+        lambda graph, basis, config, **k: flags.append(config.trace)
+        or real(graph, basis, config, **k),
+    )
+    return flags
 
 
 class TestStrategies:
@@ -117,6 +131,24 @@ class TestSweep:
         sweep_nhat(g, 1.0, range(1, 5), MboConfig(gamma=1.0, nhat=4, seed=0))
         assert len(calls) == 1
 
+    def test_supervision_skips_counts_below_its_classes(self):
+        g, truth = planted_partition(80, 4, 10.0, 0.5, seed=1)
+        nodes = np.array([np.flatnonzero(truth == b)[0] for b in range(4)])
+        sup = Supervision.from_labels(nodes, truth[nodes], 6, weight=100.0)
+        config = MboConfig(gamma=1.0, nhat=6, seed=0)
+        best = sweep_nhat(g, 1.0, range(2, 7), config, supervision=sup)
+        assert best.nhat >= 4
+        assert np.array_equal(best.labels[nodes], truth[nodes])
+        with pytest.raises(ValueError, match="--sweep.*--supervision"):
+            sweep_nhat(g, 1.0, range(2, 4), config, supervision=sup)
+
+    def test_trace_reaches_every_run(self, rng, monkeypatch):
+        g = random_graph(rng, 16)
+        traced = record_trace_flags(monkeypatch)
+        best = sweep_nhat(g, 1.0, range(2, 4), MboConfig(gamma=1.0, nhat=3, trace=True))
+        assert traced and all(traced)
+        assert best.energy_trace.size == best.iterations
+
     def test_empty_range_rejected(self, rng):
         g = random_graph(rng, 8)
         with pytest.raises(ValueError, match="empty"):
@@ -155,6 +187,12 @@ class TestRecursive:
         g, _ = planted_partition(120, 4, 9.0, 0.5, seed=2)
         labels = recursive_partition(g, 1.0, MboConfig(gamma=1.0, nhat=2, seed=0))
         assert set(labels) == set(range(labels.max() + 1))
+
+    def test_subgraph_runs_skip_traces(self, monkeypatch):
+        g, _ = planted_partition(60, 3, 8.0, 0.5, seed=0)
+        traced = record_trace_flags(monkeypatch)
+        recursive_partition(g, 1.0, MboConfig(gamma=1.0, nhat=2, trace=True))
+        assert traced and not any(traced)
 
     def test_determinism(self):
         g, _ = planted_partition(100, 4, 8.0, 1.0, seed=3)
