@@ -36,6 +36,8 @@ from .partition import (
 
 __all__ = ["RunSpec", "parse_args", "run", "main"]
 
+BATCH_HEADER = "seed,modularity,classification,wall_time_ms"
+
 
 @dataclass
 class RunSpec:
@@ -220,6 +222,11 @@ def _run_partition(spec: RunSpec) -> int:
     supervision = None
     if options.supervision:
         nodes, sup_labels = io.load_label_pairs(options.supervision)
+        classes = int(sup_labels.max(initial=-1)) + 1
+        if classes > config.nhat:
+            flag = "--sweep" if isinstance(strategy, CommunitySweep) else "--nhat"
+            raise ValueError(f"{flag}: at most {config.nhat} communities, fewer "
+                             f"than the {classes} classes of --supervision")
         supervision = Supervision.from_labels(
             nodes, sup_labels, config.nhat, options.supervision_weight
         )
@@ -233,8 +240,10 @@ def _run_partition(spec: RunSpec) -> int:
             DiffusionOperator(graph, config.gamma), n_eig, seed=config.seed
         )
 
+    # repeats run untraced; only the kept seed is rerun with traces on
     seeds = list(range(config.seed, config.seed + options.repeat))
-    jobs = [(graph, basis, strategy, config, supervision, s) for s in seeds]
+    untraced = replace(config, trace=False)
+    jobs = [(graph, basis, strategy, untraced, supervision, s) for s in seeds]
     workers = min(_thread_count(), len(seeds))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -254,12 +263,15 @@ def _run_partition(spec: RunSpec) -> int:
     best_labels = outcomes[best_idx][0]
     io.save_labels(f"{options.out}_labels.csv", best_labels)
     with open(f"{options.out}_batch.csv", "w") as fh:
-        fh.write("seed,modularity,classification,wall_time_ms\n")
+        fh.write(BATCH_HEADER + "\n")
         for seed, q, cls, ms in rows:
             cls_text = "" if cls is None else repr(cls)
             fh.write(f"{seed},{q!r},{cls_text},{ms:.3f}\n")
     if options.trace:
         result = outcomes[best_idx][2]
+        if result is not None:  # seeded runs repeat exactly, so this is the kept run
+            result = _partition_once(graph, basis, strategy, config, supervision,
+                                     seeds[best_idx])[2]
         with open(f"{options.out}_trace.csv", "w") as fh:
             fh.write("iteration,balanced_tv,modularity\n")
             if result is not None:
@@ -300,26 +312,41 @@ def _run_build_graph(options) -> int:
     return 0
 
 
+def _load_batch(path) -> RunBatch:
+    """Read the ``<out>_batch.csv`` that ``partition`` writes."""
+    mods, classes = [], []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != BATCH_HEADER:
+            raise ValueError(f"{path}: expected header {BATCH_HEADER!r}, got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text:
+                continue
+            parts = text.split(",")
+            if len(parts) != 4:
+                raise ValueError(f"{path}: line {lineno}: expected '{BATCH_HEADER}'")
+            try:
+                int(parts[0])
+                float(parts[3])
+                mods.append(float(parts[1]))
+                if parts[2]:
+                    classes.append(float(parts[2]))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
+    return RunBatch(np.array(mods), np.array(classes))
+
+
 def _run_metrics(options) -> int:
     pred = io.load_labels(options.pred)
     truth = io.load_labels(options.truth)
     print(f"purity: {purity(pred, truth):.6f}")
     print(f"classification: {classification_rate(pred, truth):.6f}")
     if options.batch:
-        mods, classes = [], []
-        with open(options.batch) as fh:
-            header = fh.readline().strip().split(",")
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) < 3:
-                    continue
-                mods.append(float(parts[1]))
-                if parts[2]:
-                    classes.append(float(parts[2]))
-        batch = RunBatch(np.array(mods), np.array(classes))
+        batch = _load_batch(options.batch)
         print(f"modularity consistency (tol {options.tol}): "
               f"{consistency(batch, 'modularity', options.tol):.6f}")
-        if classes:
+        if batch.classification.size:
             print(f"classification consistency (tol {options.tol}): "
                   f"{consistency(batch, 'classification', options.tol):.6f}")
     return 0

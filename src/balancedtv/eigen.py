@@ -5,8 +5,10 @@ diag(k) - W.  It is symmetric positive semi-definite, applied in O(nnz)
 without ever materializing the rank-one term.  The smallest eigenpairs are
 computed with an implicitly restarted Lanczos iteration on the spectral fold
 c*I - M (c an upper bound on ||M||), which turns the low end of the spectrum
-into the well-separated high end of a PSD operator; small problems fall back
-to a dense solve.
+into the well-separated high end of a PSD operator.  Operators below
+DENSE_SOLVE_LIMIT nodes are solved densely instead: there a partial dense
+eigendecomposition is faster than Lanczos, and it resolves repeated
+eigenvalues that single-vector Lanczos returns only once.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ __all__ = [
 ]
 
 DENSE_ORACLE_LIMIT = 2000
+# below this node count a partial dense eigh beats Lanczos; for a 10-pair
+# basis the dense solve stays faster up to roughly 400 nodes, but its n x n
+# temporaries then raise peak memory, so the limit sits lower
+DENSE_SOLVE_LIMIT = 256
 _CACHE_MAGIC = b"BTVEIG1\x00"
 
 
@@ -82,8 +88,13 @@ class DiffusionOperator:
         if n > max_nodes:
             raise ValueError(f"refusing to materialize a {n}x{n} dense operator")
         k = self.graph.degrees
-        lap = np.diag(k) - self.graph.adjacency.toarray()
-        return lap + (self.gamma / self.m) * np.outer(k, k)
+        dense = self.graph.adjacency.toarray()
+        np.negative(dense, out=dense)
+        dense[np.diag_indices(n)] = k  # the diagonal of W is empty
+        rank_one = np.outer(k, k)
+        rank_one *= self.gamma / self.m
+        dense += rank_one
+        return dense
 
     def as_linear_operator(self) -> spla.LinearOperator:
         return spla.LinearOperator(self.shape, matvec=self.apply, dtype=np.float64)
@@ -156,7 +167,8 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, tol: float = 1e-8,
 
     Uses ARPACK's restarted Lanczos on the folded operator c*I - M
     (c = 2(1+gamma)k_max >= ||M||) so the wanted pairs sit at the easy end of
-    the spectrum; graphs small enough for a dense solve skip Krylov entirely.
+    the spectrum; graphs below DENSE_SOLVE_LIMIT nodes, or asking for nearly
+    the whole spectrum, skip Krylov for a partial dense solve.
     Deterministic for a fixed seed.  Raises RuntimeError on non-convergence,
     reporting the achieved residuals.
     """
@@ -167,9 +179,11 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, tol: float = 1e-8,
 
     # one extra pair, when available, to detect a clustered truncation tail
     n_probe = min(n_eig + 1, n)
-    if n <= 64 or n_probe >= n - 1:
-        vals, vecs = dense_spectrum(op, max_nodes=max(n, DENSE_ORACLE_LIMIT))
-        vals, vecs = vals[:n_probe], vecs[:, :n_probe]
+    if n < DENSE_SOLVE_LIMIT or n_probe >= n - 1:
+        vals, vecs = scipy.linalg.eigh(
+            op.to_dense(max_nodes=n), subset_by_index=[0, n_probe - 1],
+            overwrite_a=True,
+        )
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)

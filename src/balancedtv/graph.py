@@ -89,6 +89,13 @@ class SparseGraph:
             raise ValueError("edge weights must be nonnegative")
         if (w != w.T).nnz != 0:
             raise ValueError("adjacency matrix must be symmetric")
+        return cls._from_canonical_csr(w)
+
+    @classmethod
+    def _from_canonical_csr(cls, w: sp.csr_matrix) -> "SparseGraph":
+        """Wrap a CSR matrix that already satisfies every class invariant
+        (sorted indices, no duplicates, zeros or self-loops, symmetric,
+        positive) and derive its degrees."""
         degrees = np.asarray(w.sum(axis=1)).ravel().astype(np.float64)
         return cls(
             n_nodes=w.shape[0],
@@ -154,7 +161,10 @@ class SparseGraph:
     def subgraph(self, nodes) -> "SparseGraph":
         """Induced subgraph on ``nodes`` (relabeled 0..len(nodes)-1)."""
         nodes = _check_subset(self, nodes)
-        return SparseGraph.from_scipy(self._adjacency[nodes][:, nodes])
+        # an induced subgraph of a valid graph is valid, so skip from_scipy's checks
+        w = self._adjacency[nodes][:, nodes]
+        w.sort_indices()
+        return SparseGraph._from_canonical_csr(w)
 
     def validate(self, rtol: float = 1e-12) -> None:
         """Recheck all structural invariants; raises ValueError on failure."""

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import balancedtv.eigen as eigen_mod
 from balancedtv import (
     DiffusionOperator,
     MboConfig,
@@ -299,7 +300,11 @@ def test_criterion_8_recursive_recovery():
     )
 
 
-def test_criterion_9_eigensolver_conformance():
+def test_criterion_9_eigensolver_conformance(monkeypatch):
+    # every graph is solved twice: by Lanczos (dense limit 0) and by the
+    # dense partial solve (all graphs lie below the default limit)
+    dense_limit = eigen_mod.DENSE_SOLVE_LIMIT
+    assert dense_limit > 200
     rng = np.random.default_rng(9)
     worst_eval = worst_resid = worst_ortho = 0.0
     for _ in range(50):
@@ -308,16 +313,19 @@ def test_criterion_9_eigensolver_conformance():
         gamma = rng.uniform(0.2, 3.0)
         op = DiffusionOperator(graph, gamma)
         n_eig = int(rng.integers(4, 13))
-        basis = smallest_eigenpairs(op, n_eig, seed=0)
         exact, _ = dense_spectrum(op)
-        worst_eval = max(worst_eval, np.abs(basis.eigenvalues - exact[:n_eig]).max())
-        v = basis.eigenvectors
-        worst_ortho = max(worst_ortho, np.abs(v.T @ v - np.eye(n_eig)).max())
-        resid = op.apply(v) - v * basis.eigenvalues
-        worst_resid = max(worst_resid, np.linalg.norm(resid, axis=0).max())
+        for limit in (0, dense_limit):
+            monkeypatch.setattr(eigen_mod, "DENSE_SOLVE_LIMIT", limit)
+            basis = smallest_eigenpairs(op, n_eig, seed=0)
+            worst_eval = max(worst_eval, np.abs(basis.eigenvalues - exact[:n_eig]).max())
+            v = basis.eigenvectors
+            worst_ortho = max(worst_ortho, np.abs(v.T @ v - np.eye(n_eig)).max())
+            resid = op.apply(v) - v * basis.eigenvalues
+            worst_resid = max(worst_resid, np.linalg.norm(resid, axis=0).max())
     ok = worst_eval <= 1e-8 and worst_resid <= 1e-6 and worst_ortho <= 1e-8
     assert report(
         9, ok,
-        f"50 graphs vs dense oracle: eigenvalue error {worst_eval:.2e} (<= 1e-8), "
-        f"residual {worst_resid:.2e} (<= 1e-6), orthonormality {worst_ortho:.2e} (<= 1e-8)",
+        f"50 graphs x 2 solvers vs dense oracle: eigenvalue error {worst_eval:.2e} "
+        f"(<= 1e-8), residual {worst_resid:.2e} (<= 1e-6), "
+        f"orthonormality {worst_ortho:.2e} (<= 1e-8)",
     )

@@ -222,6 +222,49 @@ class TestEndToEnd:
         labels = load_labels(f"{out}_labels.csv")
         assert np.array_equal(labels[nodes], truth[nodes])
 
+    @pytest.mark.parametrize("strategy", [["--nhat", "2"], ["--sweep", "2..4"]])
+    def test_trace_computed_for_kept_repeat_only(self, tmp_path, monkeypatch, strategy):
+        import balancedtv.cli as cli_mod
+        import balancedtv.partition as partition_mod
+
+        edges, _ = write_planted(tmp_path, 90, 3)
+        traced = []
+        for mod in (cli_mod, partition_mod):
+            real = mod.mbo_run
+            monkeypatch.setattr(
+                mod, "mbo_run",
+                lambda *a, real=real, **k: traced.append(a[2].trace) or real(*a, **k),
+            )
+        out = tmp_path / "many"
+        assert main(["partition", "--edges", str(edges), *strategy,
+                     "--repeat", "5", "--out", str(out), "--trace"]) == 0
+        runs_per_seed = len(traced) // 6  # five untraced repeats, one traced rerun
+        assert traced == [False] * 5 * runs_per_seed + [True] * runs_per_seed
+        batch = np.loadtxt(f"{out}_batch.csv", delimiter=",", skiprows=1, usecols=(0, 1))
+        best_seed = int(batch[np.argmax(batch[:, 1]), 0])
+        single = tmp_path / "single"
+        assert main(["partition", "--edges", str(edges), *strategy,
+                     "--seed", str(best_seed), "--out", str(single), "--trace"]) == 0
+        trace = open(f"{out}_trace.csv", "rb").read()
+        assert trace == open(f"{single}_trace.csv", "rb").read()
+        assert len(trace.splitlines()) >= 2
+
+    @pytest.mark.parametrize("strategy,flag", [
+        (["--nhat", "3"], "--nhat"), (["--sweep", "2..3"], "--sweep"),
+    ])
+    def test_too_many_supervised_classes_names_flags(self, tmp_path, capsys,
+                                                     strategy, flag):
+        edges, truth_path = write_planted(tmp_path, 80, 4)
+        truth = load_labels(truth_path)
+        sup = tmp_path / "known.csv"
+        sup.write_text("node,label\n" + "".join(
+            f"{int(np.flatnonzero(truth == b)[0])},{b}\n" for b in range(4)))
+        code = main(["partition", "--edges", str(edges), *strategy,
+                     "--supervision", str(sup), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert flag in err and "--supervision" in err and "4 classes" in err
+
     def test_non_convergence_reported(self, tmp_path, capsys):
         edges, _ = write_planted(tmp_path, 90, 3)
         spec = parse_args([
@@ -272,6 +315,23 @@ class TestEndToEnd:
         ]) == 0
         printed = capsys.readouterr().out
         assert "modularity consistency" in printed
+
+    @pytest.mark.parametrize("content,where", [
+        ("node,modularity\n0,1.0\n", "expected header"),
+        ("seed,modularity,classification,wall_time_ms\n0,1.0,,3.0\n1,0.9\n",
+         "line 3"),
+        ("seed,modularity,classification,wall_time_ms\n0,1.0,,3.0\n1,x,,3.0\n",
+         "line 3"),
+    ])
+    def test_metrics_batch_rejects_malformed(self, tmp_path, capsys, content, where):
+        pred = tmp_path / "pred.csv"
+        save_labels(pred, [0, 1])
+        batch = tmp_path / "batch.csv"
+        batch.write_text(content)
+        assert main(["metrics", "--pred", str(pred), "--truth", str(pred),
+                     "--batch", str(batch)]) == 1
+        err = capsys.readouterr().err
+        assert str(batch) in err and where in err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

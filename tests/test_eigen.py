@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import balancedtv.eigen as eigen_mod
 from balancedtv import (
     DiffusionOperator,
     EigenBasis,
@@ -119,8 +120,9 @@ class TestSmallestEigenpairs:
         trace = np.trace(op.to_dense())
         assert basis.eigenvalues.sum() == pytest.approx(trace, rel=1e-8)
 
-    def test_krylov_path_matches_dense(self, rng):
-        # graphs above the dense fallback threshold exercise ARPACK
+    def test_krylov_path_matches_dense(self, rng, monkeypatch):
+        # graphs above the dense solve limit exercise ARPACK
+        monkeypatch.setattr(eigen_mod, "DENSE_SOLVE_LIMIT", 64)
         for _ in range(5):
             n = int(rng.integers(80, 150))
             g = random_graph(rng, n, density=0.1)
@@ -138,7 +140,8 @@ class TestSmallestEigenpairs:
             assert vals[0] >= -1e-10
             assert vals[0] > 0.0
 
-    def test_determinism(self, rng):
+    def test_determinism(self, rng, monkeypatch):
+        monkeypatch.setattr(eigen_mod, "DENSE_SOLVE_LIMIT", 64)
         g = random_graph(rng, 100, density=0.08)
         op = DiffusionOperator(g, 1.0)
         a = smallest_eigenpairs(op, 6, seed=7)
@@ -153,7 +156,8 @@ class TestSmallestEigenpairs:
         with pytest.raises(ValueError):
             smallest_eigenpairs(op, 3)
 
-    def test_nonconvergence_reports(self, rng):
+    def test_nonconvergence_reports(self, rng, monkeypatch):
+        monkeypatch.setattr(eigen_mod, "DENSE_SOLVE_LIMIT", 64)
         g = random_graph(rng, 120, density=0.05)
         op = DiffusionOperator(g, 1.0)
         with pytest.raises(RuntimeError, match="restart cycles"):
@@ -168,6 +172,29 @@ class TestSmallestEigenpairs:
         op = DiffusionOperator(SparseGraph.from_dense(dense), 1.0)
         with pytest.warns(UserWarning, match="coincide"):
             smallest_eigenpairs(op, 2)
+
+    def test_repeated_eigenvalue_found(self):
+        # two unit leaves on one hub give the eigenvector e_a - e_b with
+        # eigenvalue 1; four such hubs make 1 a 4-fold eigenvalue among the
+        # smallest 9, which single-vector Lanczos returns only once
+        rng = np.random.default_rng(0)
+        core = 120
+        block = np.arange(core) < core // 2
+        p = np.where(block[:, None] == block[None, :], 0.15, 0.01)
+        upper = np.triu(rng.random((core, core)) < p, k=1)
+        dense = np.zeros((core + 8, core + 8))
+        dense[:core, :core] = upper + upper.T
+        for t, hub in enumerate([0, 30, 60, 90]):
+            for leaf in (core + 2 * t, core + 2 * t + 1):
+                dense[hub, leaf] = dense[leaf, hub] = 1.0
+        op = DiffusionOperator(SparseGraph.from_dense(dense), 1.0)
+        exact, _ = dense_spectrum(op)
+        assert np.sum(np.abs(exact[:9] - 1.0) < 1e-10) == 4
+        for n_eig in (8, 10):
+            basis = smallest_eigenpairs(op, n_eig)
+            assert np.max(np.abs(basis.eigenvalues - exact[:n_eig])) <= 1e-8
+        with pytest.warns(UserWarning, match="coincide"):
+            smallest_eigenpairs(op, 6)
 
 
 class TestBasisValidation:

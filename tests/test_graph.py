@@ -79,6 +79,20 @@ class TestSparseGraph:
         assert sub.n_nodes == 2
         assert sub.total_weight == 2.0
 
+    def test_subgraph_matches_validated_build(self, rng):
+        g = random_graph(rng, 60, density=0.2)
+        for size in (1, 2, 7, 30, 60):
+            nodes = rng.permutation(60)[:size]
+            sub = g.subgraph(nodes)
+            sorted_nodes = np.sort(nodes)
+            ref = SparseGraph.from_scipy(g.adjacency[sorted_nodes][:, sorted_nodes])
+            for field in ("row_offsets", "col_indices", "weights", "degrees"):
+                a, b = getattr(sub, field), getattr(ref, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), field
+            assert sub.n_nodes == ref.n_nodes == size
+            assert sub.total_weight == ref.total_weight
+            sub.validate()
+
     def test_immutability(self):
         with pytest.raises(ValueError):
             K3.weights[0] = 7.0
