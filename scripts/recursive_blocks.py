@@ -38,9 +38,7 @@ def main():
     start = time.perf_counter()
     for seed in range(args.seed, args.seed + args.runs):
         labels = recursive_partition(
-            graph, args.gamma,
-            MboConfig(gamma=args.gamma, nhat=args.split_factor, seed=seed),
-            split_factor=args.split_factor,
+            graph, MboConfig(gamma=args.gamma, nhat=args.split_factor, seed=seed)
         )
         q = modularity(graph, labels, args.gamma)
         p = purity(labels, truth)

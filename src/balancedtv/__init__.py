@@ -49,13 +49,6 @@ from .mbo import (
     threshold,
 )
 from .metrics import RunBatch, classification_rate, consistency, purity
-from .partition import (
-    CommunitySweep,
-    FixedCommunities,
-    RecursiveSplit,
-    kmeans_init,
-    recursive_partition,
-    sweep_nhat,
-)
+from .partition import kmeans_init, recursive_partition, sweep_nhat
 
 __version__ = "0.1.0"

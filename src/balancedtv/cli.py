@@ -4,7 +4,6 @@ Subcommands: ``generate`` (two-moons point clouds, planted-partition graphs),
 ``build-graph`` (k-NN similarity graph from a feature file), ``partition``
 (the solver, with fixed / sweep / recursive community-count strategies and
 optional supervision), and ``metrics`` (agreement scores for label files).
-Set BALANCED_TV_THREADS to run repeated seeds in parallel.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,18 +23,17 @@ from .eigen import DiffusionOperator, smallest_eigenpairs
 from .graph import Supervision, modularity
 from .mbo import MboConfig, mbo_run
 from .metrics import RunBatch, classification_rate, consistency, purity
-from .partition import (
-    CommunitySweep,
-    FixedCommunities,
-    PartitionStrategy,
-    RecursiveSplit,
-    recursive_partition,
-    sweep_nhat,
-)
+from .partition import recursive_partition, sweep_nhat
 
 __all__ = ["RunSpec", "parse_args", "run", "main"]
 
 BATCH_HEADER = "seed,modularity,classification,wall_time_ms"
+# flags only --recursive reads: (flag, attribute, default, least valid value)
+RECURSIVE_FLAGS = (
+    ("--split-factor", "split_factor", 2, 2),
+    ("--min-size", "min_size", 4, 2),
+    ("--gain-tol", "gain_tol", 1e-10, 0),
+)
 
 
 @dataclass
@@ -46,7 +43,6 @@ class RunSpec:
     command: str
     options: argparse.Namespace
     mbo_config: MboConfig | None = None
-    strategy: PartitionStrategy | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,10 +90,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="try each count in the range, keep the best modularity")
     strat.add_argument("--recursive", action="store_true",
                        help="recursive splitting gated on modularity gain")
-    part.add_argument("--split-factor", type=int, default=2)
-    part.add_argument("--min-size", type=int, default=4)
-    part.add_argument("--gain-tol", type=float, default=1e-10)
-    part.add_argument("--neig", type=int, help="eigenpairs to retain (default 5*nhat)")
+    part.add_argument("--split-factor", type=int,
+                      help="parts per recursive split (default 2)")
+    part.add_argument("--min-size", type=int,
+                      help="smallest community a recursive run splits (default 4)")
+    part.add_argument("--gain-tol", type=float,
+                      help="modularity gain a recursive split must exceed (default 1e-10)")
+    part.add_argument("--neig", type=int,
+                      help="eigenpairs to retain (default 5*nhat); not with --recursive")
     part.add_argument("--dt", type=float, help="explicit timestep override")
     part.add_argument("--seed", type=int, default=0)
     part.add_argument("--repeat", type=int, default=1)
@@ -134,12 +134,20 @@ def parse_args(argv) -> RunSpec:
 
     spec = RunSpec(command=options.command, options=options)
     if options.command == "partition":
+        for flag, attr, default, least in RECURSIVE_FLAGS:
+            value = getattr(options, attr)
+            if not options.recursive:
+                if value is not None:
+                    parser.error(f"{flag}: only used with --recursive")
+            elif value is None:
+                setattr(options, attr, default)
+            elif not value >= least:
+                parser.error(f"{flag}: must be at least {least}")
         if options.recursive:
             if options.supervision:
                 parser.error("--supervision: not supported with --recursive")
-            spec.strategy = RecursiveSplit(
-                options.split_factor, options.min_size, options.gain_tol
-            )
+            if options.neig is not None:
+                parser.error("--neig: not used with --recursive")
             nhat = options.split_factor
         elif options.sweep is not None:
             pieces = options.sweep.split("..")
@@ -148,12 +156,11 @@ def parse_args(argv) -> RunSpec:
             lo, hi = int(pieces[0]), int(pieces[1])
             if not 1 <= lo <= hi:
                 parser.error("--sweep: need 1 <= MIN <= MAX")
-            spec.strategy = CommunitySweep(lo, hi)
+            options.sweep = range(lo, hi + 1)
             nhat = hi
         else:
             if options.nhat < 1:
                 parser.error("--nhat: must be at least 1")
-            spec.strategy = FixedCommunities(options.nhat)
             nhat = options.nhat
         try:
             spec.mbo_config = MboConfig(
@@ -169,14 +176,6 @@ def parse_args(argv) -> RunSpec:
     return spec
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("BALANCED_TV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load_graph(options):
     if options.edges:
         return io.load_edge_list(options.edges)
@@ -184,34 +183,25 @@ def _load_graph(options):
     return knn_graph(features, options.knn, options.scaling_neighbor)
 
 
-def _partition_once(graph, basis, strategy, config, supervision, seed):
+def _partition_once(graph, basis, options, config, supervision, seed):
     seeded = replace(config, seed=seed)
     start = time.perf_counter()
-    if isinstance(strategy, RecursiveSplit):
-        labels = recursive_partition(
-            graph, config.gamma, seeded,
-            split_factor=strategy.split_factor,
-            min_size=strategy.min_size,
-            gain_tol=strategy.gain_tol,
-        )
+    if options.recursive:
+        labels = recursive_partition(graph, seeded, options.min_size, options.gain_tol)
         q = modularity(graph, labels, config.gamma)
         result = None
-    elif isinstance(strategy, CommunitySweep):
-        result = sweep_nhat(
-            graph, config.gamma,
-            range(strategy.nhat_min, strategy.nhat_max + 1),
-            seeded, supervision=supervision, basis=basis,
-        )
-        labels, q = result.labels, result.modularity
     else:
-        result = mbo_run(graph, basis, seeded, supervision=supervision)
+        if options.sweep:
+            result = sweep_nhat(graph, options.sweep, seeded, supervision, basis)
+        else:
+            result = mbo_run(graph, basis, seeded, supervision=supervision)
         labels, q = result.labels, result.modularity
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
     return labels, q, result, elapsed_ms
 
 
 def _run_partition(spec: RunSpec) -> int:
-    options, config, strategy = spec.options, spec.mbo_config, spec.strategy
+    options, config = spec.options, spec.mbo_config
     graph = _load_graph(options)
     truth = io.load_labels(options.truth) if options.truth else None
     if truth is not None and truth.size != graph.n_nodes:
@@ -224,7 +214,7 @@ def _run_partition(spec: RunSpec) -> int:
         nodes, sup_labels = io.load_label_pairs(options.supervision)
         classes = int(sup_labels.max(initial=-1)) + 1
         if classes > config.nhat:
-            flag = "--sweep" if isinstance(strategy, CommunitySweep) else "--nhat"
+            flag = "--sweep" if options.sweep else "--nhat"
             raise ValueError(f"{flag}: at most {config.nhat} communities, fewer "
                              f"than the {classes} classes of --supervision")
         supervision = Supervision.from_labels(
@@ -232,10 +222,10 @@ def _run_partition(spec: RunSpec) -> int:
         )
 
     basis = None
-    if not isinstance(strategy, RecursiveSplit):
+    if not options.recursive:
         n_eig = config.resolved_n_eig(graph.n_nodes)
-        if isinstance(strategy, CommunitySweep):
-            n_eig = min(max(n_eig, 5 * strategy.nhat_max), graph.n_nodes)
+        if options.sweep:
+            n_eig = min(max(n_eig, 5 * config.nhat), graph.n_nodes)
         basis = smallest_eigenpairs(
             DiffusionOperator(graph, config.gamma), n_eig, seed=config.seed
         )
@@ -243,13 +233,8 @@ def _run_partition(spec: RunSpec) -> int:
     # repeats run untraced; only the kept seed is rerun with traces on
     seeds = list(range(config.seed, config.seed + options.repeat))
     untraced = replace(config, trace=False)
-    jobs = [(graph, basis, strategy, untraced, supervision, s) for s in seeds]
-    workers = min(_thread_count(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda a: _partition_once(*a), jobs))
-    else:
-        outcomes = [_partition_once(*job) for job in jobs]
+    outcomes = [_partition_once(graph, basis, options, untraced, supervision, s)
+                for s in seeds]
 
     rows = []
     for seed, (labels, q, result, ms) in zip(seeds, outcomes):
@@ -270,7 +255,7 @@ def _run_partition(spec: RunSpec) -> int:
     if options.trace:
         result = outcomes[best_idx][2]
         if result is not None:  # seeded runs repeat exactly, so this is the kept run
-            result = _partition_once(graph, basis, strategy, config, supervision,
+            result = _partition_once(graph, basis, options, config, supervision,
                                      seeds[best_idx])[2]
         with open(f"{options.out}_trace.csv", "w") as fh:
             fh.write("iteration,balanced_tv,modularity\n")

@@ -75,6 +75,7 @@ class SparseGraph:
         """Build from any scipy sparse matrix; must already be symmetric.
 
         Self-loops are stripped, explicit zeros dropped, duplicates summed.
+        Weights must be finite and nonnegative.
         """
         w = sp.coo_matrix(matrix)
         if w.shape[0] != w.shape[1]:
@@ -85,6 +86,8 @@ class SparseGraph:
         ).tocsr()
         w.sum_duplicates()
         w.eliminate_zeros()
+        if not np.isfinite(w.data).all():
+            raise ValueError("edge weights must be finite")
         if w.nnz and w.data.min() < 0:
             raise ValueError("edge weights must be nonnegative")
         if (w != w.T).nnz != 0:

@@ -28,9 +28,9 @@ __all__ = [
 def load_edge_list(path, n_nodes: int | None = None) -> SparseGraph:
     """Parse an edge-list file into a validated :class:`SparseGraph`.
 
-    Malformed lines and negative weights are reported with their 1-based line
-    number.  ``n_nodes`` forces the node count (for graphs with trailing
-    isolated nodes); otherwise it is max index + 1.
+    Malformed lines and negative or non-finite weights are reported with
+    their 1-based line number.  ``n_nodes`` forces the node count (for graphs
+    with trailing isolated nodes); otherwise it is max index + 1.
     """
     rows, cols, weights = [], [], []
     with open(path) as fh:
@@ -51,8 +51,9 @@ def load_edge_list(path, n_nodes: int | None = None) -> SparseGraph:
                 ) from None
             if i < 0 or j < 0:
                 raise ValueError(f"{path}: line {lineno}: negative node index")
-            if w < 0:
-                raise ValueError(f"{path}: line {lineno}: negative weight {w}")
+            if not 0 <= w < np.inf:
+                raise ValueError(f"{path}: line {lineno}: weight {w} is not a "
+                                 "finite nonnegative number")
             rows.append(i)
             cols.append(j)
             weights.append(w)
@@ -75,43 +76,20 @@ def save_edge_list(path, graph: SparseGraph) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    """Read a ``node,label`` CSV (header required) into a label vector."""
-    pairs = []
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip().lower() != "node,label":
-            raise ValueError(f"{path}: expected header 'node,label', got {header.strip()!r}")
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'node,label'")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer entry") from None
-    if not pairs:
-        return np.zeros(0, dtype=np.int64)
-    nodes = np.array([p[0] for p in pairs], dtype=np.int64)
-    labels = np.array([p[1] for p in pairs], dtype=np.int64)
-    if np.unique(nodes).size != nodes.size:
-        raise ValueError(f"{path}: duplicate node ids")
-    out = np.full(int(nodes.max()) + 1, -1, dtype=np.int64)
-    out[nodes] = labels
-    if np.any(out < 0):
+    """Read a ``node,label`` CSV covering nodes 0..N-1 into a label vector."""
+    nodes, labels = load_label_pairs(path)
+    if nodes.size and nodes.max() >= nodes.size:
         raise ValueError(f"{path}: missing node ids (expected 0..{nodes.max()})")
+    out = np.empty(nodes.size, dtype=np.int64)
+    out[nodes] = labels
     return out
 
 
 def load_label_pairs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a ``node,label`` CSV covering an arbitrary subset of nodes.
-
-    Unlike :func:`load_labels` the node ids need not be contiguous; used for
-    supervision files.  Returns (nodes, labels).
-    """
-    nodes, labels = [], []
+    """Read a ``node,label`` CSV (header required) covering any subset of
+    nodes, each at most once; used as is for supervision files.  Returns
+    (nodes, labels) in file order."""
+    line_of, labels = {}, []  # node -> its line, in file order
     with open(path) as fh:
         header = fh.readline()
         if header.strip().lower() != "node,label":
@@ -124,11 +102,17 @@ def load_label_pairs(path) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'node,label'")
             try:
-                nodes.append(int(parts[0]))
-                labels.append(int(parts[1]))
+                node, label = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-integer entry") from None
-    return np.asarray(nodes, dtype=np.int64), np.asarray(labels, dtype=np.int64)
+            if node < 0 or label < 0:
+                raise ValueError(f"{path}: line {lineno}: negative entry")
+            if node in line_of:
+                raise ValueError(f"{path}: line {lineno}: node {node} already "
+                                 f"labeled on line {line_of[node]}")
+            line_of[node] = lineno
+            labels.append(label)
+    return np.asarray(list(line_of), dtype=np.int64), np.asarray(labels, dtype=np.int64)
 
 
 def save_labels(path, labels) -> None:

@@ -1,14 +1,15 @@
 """Strategies for choosing the number of communities.
 
-Three policies: a fixed count, a modularity-maximizing sweep over a range of
-counts that reuses a single eigenbasis, and recursive splitting gated on
-full-graph modularity gain.  Also provides the k-means-on-eigenvectors
-initialization used to seed runs.
+Three policies: a fixed count (a plain ``mbo_run`` with ``MboConfig.nhat``
+communities), a modularity-maximizing sweep over a range of counts that
+reuses a single eigenbasis, and recursive splitting gated on full-graph
+modularity gain, whose split factor is ``MboConfig.nhat``.  Also provides the
+k-means-on-eigenvectors initialization used to seed runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,51 +17,9 @@ from .eigen import DiffusionOperator, EigenBasis, smallest_eigenpairs
 from .graph import SparseGraph, Supervision, labels_to_matrix, modularity
 from .mbo import DT_CAP_FACTOR, MboConfig, MboResult, mbo_run, select_timestep
 
-__all__ = [
-    "FixedCommunities",
-    "CommunitySweep",
-    "RecursiveSplit",
-    "kmeans_init",
-    "sweep_nhat",
-    "recursive_partition",
-]
+__all__ = ["kmeans_init", "sweep_nhat", "recursive_partition"]
 
-
-@dataclass(frozen=True)
-class FixedCommunities:
-    nhat: int
-
-    def __post_init__(self):
-        if self.nhat < 1:
-            raise ValueError("nhat must be at least 1")
-
-
-@dataclass(frozen=True)
-class CommunitySweep:
-    nhat_min: int
-    nhat_max: int
-
-    def __post_init__(self):
-        if not 1 <= self.nhat_min <= self.nhat_max:
-            raise ValueError("sweep bounds must satisfy 1 <= min <= max")
-
-
-@dataclass(frozen=True)
-class RecursiveSplit:
-    split_factor: int = 2
-    min_size: int = 4
-    gain_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.split_factor < 2:
-            raise ValueError("split_factor must be at least 2")
-        if self.min_size < 2:
-            raise ValueError("min_size must be at least 2")
-        if self.gain_tol < 0:
-            raise ValueError("gain_tol must be nonnegative")
-
-
-PartitionStrategy = FixedCommunities | CommunitySweep | RecursiveSplit
+DT_LADDER = 8  # rungs of the geometric timestep ladder a sweep tries per count
 
 
 def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -132,36 +91,34 @@ def kmeans_init(basis: EigenBasis, nhat: int, seed: int = 0) -> np.ndarray:
     return labels_to_matrix(labels, nhat)
 
 
-def _sweep_timesteps(graph: SparseGraph, gamma: float, basis: EigenBasis,
-                     config: MboConfig, ladder: int) -> list[float]:
-    """Candidate timesteps for one sweep: the automatic choice plus, when the
-    ladder is enabled, a geometric ladder across the admissible range
-    [tau_lo, cap].  Diffusion reuses the one basis, so extra timesteps cost
-    no eigenwork."""
-    auto = select_timestep(basis, graph, gamma, config)
-    if config.dt is not None or ladder < 1:
+def _sweep_timesteps(graph: SparseGraph, basis: EigenBasis,
+                     config: MboConfig) -> list[float]:
+    """Candidate timesteps for one sweep: the automatic choice plus, unless
+    ``config.dt`` pins it, a DT_LADDER-rung geometric ladder across the
+    admissible range [tau_lo, cap].  Diffusion reuses the one basis, so
+    extra timesteps cost no eigenwork."""
+    auto = select_timestep(basis, graph, config.gamma, config)
+    if config.dt is not None:
         return [auto]
-    tau_lo = np.log(2.0) / (2.0 * (gamma + 1.0) * float(graph.degrees.max()))
-    rungs = tau_lo * np.logspace(0.1, np.log10(DT_CAP_FACTOR), ladder)
+    tau_lo = np.log(2.0) / (2.0 * (config.gamma + 1.0) * float(graph.degrees.max()))
+    rungs = tau_lo * np.logspace(0.1, np.log10(DT_CAP_FACTOR), DT_LADDER)
     return sorted(set(float(dt) for dt in rungs) | {auto})
 
 
-def sweep_nhat(graph: SparseGraph, gamma: float, nhats, config: MboConfig,
+def sweep_nhat(graph: SparseGraph, nhats, config: MboConfig,
                supervision: Supervision | None = None,
-               basis: EigenBasis | None = None,
-               dt_ladder: int = 8) -> MboResult:
+               basis: EigenBasis | None = None) -> MboResult:
     """Run the MBO solve for each candidate community count and keep the
     partition with the best modularity (ties to the smaller count).
 
     A single eigenbasis with 5 * max(nhats) vectors (capped at N) is computed
     once and shared by every run; pass ``basis`` to reuse one computed
     elsewhere.  Unless ``config.dt`` pins the timestep, each count is also
-    tried across a ``dt_ladder``-rung geometric ladder of timesteps (the
+    tried across a DT_LADDER-rung geometric ladder of timesteps (the
     automatic choice always included): fixed points of the threshold
     dynamics depend on the timestep, and with the basis amortized the extra
-    runs are nearly free.  ``dt_ladder=0`` restricts the sweep to the
-    automatic timestep only.  Counts too small to hold every supervised
-    class are skipped.
+    runs are nearly free.  Counts too small to hold every supervised class
+    are skipped.  ``config.nhat`` is replaced by each count in turn.
     """
     nhats = sorted(set(int(h) for h in nhats))
     if not nhats:
@@ -178,9 +135,9 @@ def sweep_nhat(graph: SparseGraph, gamma: float, nhats, config: MboConfig,
     if basis is None:
         n_eig = min(5 * nhats[-1], graph.n_nodes)
         basis = smallest_eigenpairs(
-            DiffusionOperator(graph, gamma), n_eig, seed=config.seed
+            DiffusionOperator(graph, config.gamma), n_eig, seed=config.seed
         )
-    timesteps = _sweep_timesteps(graph, gamma, basis, config, dt_ladder)
+    timesteps = _sweep_timesteps(graph, basis, config)
     best = None
     for nhat in nhats:
         sup = None
@@ -189,29 +146,32 @@ def sweep_nhat(graph: SparseGraph, gamma: float, nhats, config: MboConfig,
                 supervision.nodes, sup_labels, nhat, supervision.weight
             )
         for dt in timesteps:
-            run_config = replace(
-                config, gamma=gamma, nhat=nhat, n_eig=basis.n_eig, dt=dt
-            )
+            run_config = replace(config, nhat=nhat, n_eig=basis.n_eig, dt=dt)
             result = mbo_run(graph, basis, run_config, supervision=sup)
             if best is None or result.modularity > best.modularity:
                 best = result
     return best
 
 
-def recursive_partition(graph: SparseGraph, gamma: float, config: MboConfig,
-                        split_factor: int = 2, min_size: int = 4,
-                        gain_tol: float = 1e-10) -> np.ndarray:
+def recursive_partition(graph: SparseGraph, config: MboConfig,
+                        min_size: int = 4, gain_tol: float = 1e-10) -> np.ndarray:
     """Recursively split communities while full-graph modularity increases.
 
     Starts from a single community.  Each community of at least ``min_size``
     nodes is split by an MBO run on its induced subgraph (own operator and
-    eigenbasis, k-means initialization, nhat = split_factor); the split is
-    kept only if modularity of the whole graph, with the original degrees and
-    total weight, increases by more than ``gain_tol``.  Accepted parts are
-    revisited until no community admits a profitable split.  Returns
-    contiguous labels.
+    eigenbasis, k-means initialization) into at most ``config.nhat`` parts,
+    the split factor; the split is kept only if modularity of the whole
+    graph, with the original degrees and total weight, increases by more
+    than ``gain_tol``.  Accepted parts are revisited until no community
+    admits a profitable split.  Returns contiguous labels.
     """
-    strategy = RecursiveSplit(split_factor, min_size, gain_tol)  # validates
+    if config.nhat < 2:
+        raise ValueError("split factor (config.nhat) must be at least 2")
+    if min_size < 2:
+        raise ValueError("min_size must be at least 2")
+    if not gain_tol >= 0:
+        raise ValueError("gain_tol must be nonnegative")
+    gamma = config.gamma
     labels = np.zeros(graph.n_nodes, dtype=np.int64)
     current_q = modularity(graph, labels, gamma)
     pending = [np.arange(graph.n_nodes, dtype=np.int64)]
@@ -220,21 +180,18 @@ def recursive_partition(graph: SparseGraph, gamma: float, config: MboConfig,
 
     while pending:
         members = pending.pop()
-        if members.size < strategy.min_size:
+        if members.size < min_size:
             continue
         sub = graph.subgraph(members)
         if sub.total_weight == 0:
             continue
         op = DiffusionOperator(sub, gamma)
-        n_eig = min(5 * strategy.split_factor, sub.n_nodes)
+        n_eig = min(5 * config.nhat, sub.n_nodes)
         sub_seed = config.seed + subproblem
         subproblem += 1
         basis = smallest_eigenpairs(op, n_eig, seed=sub_seed)
-        sub_config = replace(
-            config, gamma=gamma, nhat=strategy.split_factor, n_eig=n_eig,
-            seed=sub_seed, trace=False,
-        )
-        init = kmeans_init(basis, strategy.split_factor, seed=sub_seed)
+        sub_config = replace(config, n_eig=n_eig, seed=sub_seed, trace=False)
+        init = kmeans_init(basis, config.nhat, seed=sub_seed)
         result = mbo_run(sub, basis, sub_config, init=init)
 
         parts = np.unique(result.labels)
@@ -245,7 +202,7 @@ def recursive_partition(graph: SparseGraph, gamma: float, config: MboConfig,
             candidate[members[result.labels == part]] = next_label
             next_label += 1
         candidate_q = modularity(graph, candidate, gamma)
-        if candidate_q > current_q + strategy.gain_tol:
+        if candidate_q > current_q + gain_tol:
             labels = candidate
             current_q = candidate_q
             for part in parts:

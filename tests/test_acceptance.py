@@ -269,7 +269,7 @@ def test_criterion_7_small_instance_optimality():
         best = -np.inf
         for seed in range(10):
             config = MboConfig(gamma=gamma, nhat=4, seed=seed)
-            result = sweep_nhat(graph, gamma, range(1, 5), config, basis=basis)
+            result = sweep_nhat(graph, range(1, 5), config, basis=basis)
             best = max(best, result.modularity)
         if best > target + 1e-9:
             exceeded += 1
@@ -289,7 +289,7 @@ def test_criterion_8_recursive_recovery():
     graph, truth = planted_partition(400, 8, 10.0, 1.0, seed=0)
     best = 0.0
     for seed in range(5):
-        labels = recursive_partition(graph, 1.0, MboConfig(gamma=1.0, nhat=2, seed=seed))
+        labels = recursive_partition(graph, MboConfig(gamma=1.0, nhat=2, seed=seed))
         best = max(best, purity(labels, truth))
     elapsed = time.perf_counter() - start
     ok = best >= 0.9 and elapsed <= 30.0

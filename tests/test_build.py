@@ -166,6 +166,13 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="line 1"):
             load_edge_list(path)
 
+    @pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
+    def test_non_finite_weight_names_line(self, tmp_path, weight):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1 1.0\n1 2 {weight}\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_edge_list(path)
+
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1 1.0\n0 2\n")
@@ -194,6 +201,25 @@ class TestFileFormats:
         nodes, labels = load_label_pairs(path)
         assert np.array_equal(nodes, [7, 2])
         assert np.array_equal(labels, [1, 0])
+
+    @pytest.mark.parametrize("loader", [load_labels, load_label_pairs])
+    @pytest.mark.parametrize("rows,where", [
+        ("0,1\n1,0\n0,1\n", "line 4"),
+        ("0,1\n-1,0\n", "line 3"),
+        ("0,1\n1,-2\n", "line 3"),
+    ])
+    def test_label_file_errors_name_line(self, tmp_path, loader, rows, where):
+        path = tmp_path / "labels.csv"
+        path.write_text("node,label\n" + rows)
+        with pytest.raises(ValueError, match=where) as exc:
+            loader(path)
+        assert str(path) in str(exc.value)
+
+    def test_labels_must_cover_every_node(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("node,label\n0,1\n2,0\n")
+        with pytest.raises(ValueError, match="missing node ids"):
+            load_labels(path)
 
     def test_features_round_trip(self, tmp_path, rng):
         feats = rng.standard_normal((6, 4))

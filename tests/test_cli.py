@@ -47,7 +47,7 @@ class TestParseArgs:
             "--nhat", "2", "--seed", "7", "--out", str(tmp_path / "run"),
         ])
         assert spec.command == "partition"
-        assert spec.strategy.nhat == 2
+        assert spec.mbo_config.nhat == 2
         assert spec.mbo_config.gamma == 0.5
         assert spec.mbo_config.seed == 7
 
@@ -80,7 +80,8 @@ class TestParseArgs:
         spec = parse_args([
             "partition", "--edges", str(edges), "--sweep", "2..4", "--out", "x",
         ])
-        assert (spec.strategy.nhat_min, spec.strategy.nhat_max) == (2, 4)
+        assert spec.options.sweep == range(2, 5)
+        assert spec.mbo_config.nhat == 4
 
     def test_bad_sweep_range(self, tmp_path, capsys):
         edges = write_cliques(tmp_path)
@@ -100,6 +101,39 @@ class TestParseArgs:
                 "--supervision", str(sup), "--out", "x",
             ])
         assert "--supervision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--split-factor", "1"), ("--min-size", "1"), ("--gain-tol", "-1"),
+        ("--gain-tol", "nan"),
+    ])
+    def test_bad_recursive_flag_named(self, tmp_path, capsys, flag, value):
+        edges = write_cliques(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["partition", "--edges", str(edges), "--recursive",
+                        flag, value, "--out", "x"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy,flag,value", [
+        (["--nhat", "4"], "--split-factor", "7"),
+        (["--nhat", "4"], "--min-size", "99"),
+        (["--sweep", "2..4"], "--gain-tol", "0.1"),
+        (["--recursive"], "--neig", "3"),
+    ])
+    def test_flag_unused_by_strategy_rejected(self, tmp_path, capsys,
+                                              strategy, flag, value):
+        edges = write_cliques(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["partition", "--edges", str(edges), *strategy,
+                        flag, value, "--out", "x"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_recursive_defaults_resolved(self, tmp_path):
+        edges = write_cliques(tmp_path)
+        options = parse_args(["partition", "--edges", str(edges), "--recursive",
+                              "--out", "x"]).options
+        assert (options.split_factor, options.min_size, options.gain_tol) == (2, 4, 1e-10)
 
 
 class TestEndToEnd:
@@ -339,14 +373,3 @@ class TestEndToEnd:
         code = main(["partition", "--edges", str(bad), "--nhat", "2", "--out", "x"])
         assert code == 1
         assert "error" in capsys.readouterr().err
-
-    def test_thread_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BALANCED_TV_THREADS", "2")
-        edges = write_cliques(tmp_path)
-        out = tmp_path / "threaded"
-        assert main([
-            "partition", "--edges", str(edges), "--nhat", "2",
-            "--repeat", "4", "--out", str(out),
-        ]) == 0
-        batch_lines = open(f"{out}_batch.csv").read().splitlines()
-        assert len(batch_lines) == 5

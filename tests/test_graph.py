@@ -70,6 +70,15 @@ class TestSparseGraph:
         with pytest.raises(ValueError, match="symmetric"):
             SparseGraph.from_scipy(m)
 
+    @pytest.mark.parametrize("w", [np.inf, np.nan])
+    def test_rejects_non_finite_weight(self, w):
+        import scipy.sparse as sp
+
+        with pytest.raises(ValueError, match="finite"):
+            SparseGraph.from_coo(3, [0, 1], [1, 2], [1.0, w], symmetrize=True)
+        with pytest.raises(ValueError, match="finite"):
+            SparseGraph.from_scipy(sp.csr_matrix([[0.0, w], [w, 0.0]]))
+
     def test_from_coo_index_range(self):
         with pytest.raises(ValueError, match="out of range"):
             SparseGraph.from_coo(2, [0], [5], [1.0], symmetrize=True)

@@ -1,12 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from balancedtv import (
-    CommunitySweep,
     DiffusionOperator,
-    FixedCommunities,
     MboConfig,
-    RecursiveSplit,
     Supervision,
     kmeans_init,
     matrix_to_labels,
@@ -15,6 +14,7 @@ from balancedtv import (
     planted_partition,
     purity,
     recursive_partition,
+    select_timestep,
     smallest_eigenpairs,
     sweep_nhat,
 )
@@ -35,15 +35,19 @@ def record_trace_flags(monkeypatch):
 
 
 class TestStrategies:
-    def test_validation(self):
+    def test_validation(self, rng):
+        g = random_graph(rng, 8)
+        config = MboConfig(gamma=1.0, nhat=2)
         with pytest.raises(ValueError):
-            FixedCommunities(0)
-        with pytest.raises(ValueError):
-            CommunitySweep(3, 2)
-        with pytest.raises(ValueError):
-            RecursiveSplit(split_factor=1)
-        with pytest.raises(ValueError):
-            RecursiveSplit(gain_tol=-1.0)
+            MboConfig(gamma=1.0, nhat=0)
+        with pytest.raises(ValueError, match="empty"):
+            sweep_nhat(g, range(3, 2), config)
+        with pytest.raises(ValueError, match="split factor"):
+            recursive_partition(g, replace(config, nhat=1))
+        with pytest.raises(ValueError, match="min_size"):
+            recursive_partition(g, config, min_size=1)
+        with pytest.raises(ValueError, match="gain_tol"):
+            recursive_partition(g, config, gain_tol=-1.0)
 
 
 class TestKmeansInit:
@@ -80,17 +84,19 @@ class TestSweep:
     def test_cliques_pick_two_communities(self):
         g = two_cliques(5)
         config = MboConfig(gamma=1.0, nhat=2, seed=0)
-        best = sweep_nhat(g, 1.0, range(2, 5), config)
+        best = sweep_nhat(g, range(2, 5), config)
         assert np.unique(best.labels).size == 2
         assert best.modularity == pytest.approx(0.5)
 
     def test_singleton_range_matches_fixed_run(self, rng):
         g = random_graph(rng, 20)
         config = MboConfig(gamma=1.0, nhat=3, seed=7)
-        swept = sweep_nhat(g, 1.0, [3], config, dt_ladder=0)
         basis = smallest_eigenpairs(
             DiffusionOperator(g, 1.0), min(15, g.n_nodes), seed=config.seed
         )
+        # pinning dt to the automatic choice leaves the sweep one timestep
+        auto = select_timestep(basis, g, 1.0, config)
+        swept = sweep_nhat(g, [3], replace(config, dt=auto))
         fixed_config = MboConfig(gamma=1.0, nhat=3, n_eig=basis.n_eig, seed=7)
         fixed = mbo_run(g, basis, fixed_config)
         assert np.array_equal(swept.labels, fixed.labels)
@@ -99,23 +105,25 @@ class TestSweep:
     def test_timestep_ladder_never_hurts(self, rng):
         g = random_graph(rng, 24, density=0.3)
         config = MboConfig(gamma=1.0, nhat=3, seed=2)
-        plain = sweep_nhat(g, 1.0, range(1, 4), config, dt_ladder=0)
-        laddered = sweep_nhat(g, 1.0, range(1, 4), config, dt_ladder=8)
+        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 15, seed=2)
+        auto = select_timestep(basis, g, 1.0, config)
+        plain = sweep_nhat(g, range(1, 4), replace(config, dt=auto))
+        laddered = sweep_nhat(g, range(1, 4), config)
         assert laddered.modularity >= plain.modularity - 1e-12
 
     def test_explicit_dt_disables_ladder(self, rng):
         g = random_graph(rng, 15)
         config = MboConfig(gamma=1.0, nhat=2, seed=0, dt=0.05)
-        swept = sweep_nhat(g, 1.0, [2], config, dt_ladder=8)
+        swept = sweep_nhat(g, [2], config)
         assert swept.dt_used == 0.05
 
     def test_best_dominates_every_candidate(self, rng):
         g = random_graph(rng, 18)
         config = MboConfig(gamma=1.0, nhat=4, seed=3)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 18, seed=3)
-        best = sweep_nhat(g, 1.0, range(1, 5), config, basis=basis)
+        best = sweep_nhat(g, range(1, 5), config, basis=basis)
         for nhat in range(1, 5):
-            single = sweep_nhat(g, 1.0, [nhat], config, basis=basis)
+            single = sweep_nhat(g, [nhat], config, basis=basis)
             assert best.modularity >= single.modularity - 1e-12
 
     def test_computes_exactly_one_basis(self, rng, monkeypatch):
@@ -128,7 +136,7 @@ class TestSweep:
             partition_mod, "smallest_eigenpairs",
             lambda *a, **k: calls.append(1) or real(*a, **k),
         )
-        sweep_nhat(g, 1.0, range(1, 5), MboConfig(gamma=1.0, nhat=4, seed=0))
+        sweep_nhat(g, range(1, 5), MboConfig(gamma=1.0, nhat=4, seed=0))
         assert len(calls) == 1
 
     def test_supervision_skips_counts_below_its_classes(self):
@@ -136,36 +144,36 @@ class TestSweep:
         nodes = np.array([np.flatnonzero(truth == b)[0] for b in range(4)])
         sup = Supervision.from_labels(nodes, truth[nodes], 6, weight=100.0)
         config = MboConfig(gamma=1.0, nhat=6, seed=0)
-        best = sweep_nhat(g, 1.0, range(2, 7), config, supervision=sup)
+        best = sweep_nhat(g, range(2, 7), config, supervision=sup)
         assert best.nhat >= 4
         assert np.array_equal(best.labels[nodes], truth[nodes])
         with pytest.raises(ValueError, match="--sweep.*--supervision"):
-            sweep_nhat(g, 1.0, range(2, 4), config, supervision=sup)
+            sweep_nhat(g, range(2, 4), config, supervision=sup)
 
     def test_trace_reaches_every_run(self, rng, monkeypatch):
         g = random_graph(rng, 16)
         traced = record_trace_flags(monkeypatch)
-        best = sweep_nhat(g, 1.0, range(2, 4), MboConfig(gamma=1.0, nhat=3, trace=True))
+        best = sweep_nhat(g, range(2, 4), MboConfig(gamma=1.0, nhat=3, trace=True))
         assert traced and all(traced)
         assert best.energy_trace.size == best.iterations
 
     def test_empty_range_rejected(self, rng):
         g = random_graph(rng, 8)
         with pytest.raises(ValueError, match="empty"):
-            sweep_nhat(g, 1.0, [], MboConfig(gamma=1.0, nhat=2))
+            sweep_nhat(g, [], MboConfig(gamma=1.0, nhat=2))
 
 
 class TestRecursive:
     def test_triangle_stays_whole_at_gamma_one(self):
         # K3: the best split scores 1/3 - 5/9 < 0 = 1 - gamma, so no split
         g = complete_graph(3)
-        labels = recursive_partition(g, 1.0, MboConfig(gamma=1.0, nhat=2, seed=0))
+        labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=2, seed=0))
         assert np.unique(labels).size == 1
 
     def test_infinite_gain_tol_returns_single_community(self, rng):
         g, _ = planted_partition(60, 3, 8.0, 0.5, seed=0)
         labels = recursive_partition(
-            g, 1.0, MboConfig(gamma=1.0, nhat=2, seed=0), gain_tol=np.inf
+            g, MboConfig(gamma=1.0, nhat=2, seed=0), gain_tol=np.inf
         )
         assert np.unique(labels).size == 1
 
@@ -173,30 +181,30 @@ class TestRecursive:
         g, truth = planted_partition(200, 8, 10.0, 0.2, seed=5)
         best = 0.0
         for seed in range(3):
-            labels = recursive_partition(g, 1.0, MboConfig(gamma=1.0, nhat=2, seed=seed))
+            labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=2, seed=seed))
             best = max(best, purity(labels, truth))
         assert best >= 0.9
 
     def test_never_below_single_community(self, rng):
         for seed in range(5):
             g = random_graph(rng, 40, density=0.15)
-            labels = recursive_partition(g, 1.0, MboConfig(gamma=1.0, nhat=2, seed=seed))
+            labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=2, seed=seed))
             assert modularity(g, labels, 1.0) >= (1.0 - 1.0) - 1e-12
 
     def test_labels_contiguous(self):
         g, _ = planted_partition(120, 4, 9.0, 0.5, seed=2)
-        labels = recursive_partition(g, 1.0, MboConfig(gamma=1.0, nhat=2, seed=0))
+        labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=2, seed=0))
         assert set(labels) == set(range(labels.max() + 1))
 
     def test_subgraph_runs_skip_traces(self, monkeypatch):
         g, _ = planted_partition(60, 3, 8.0, 0.5, seed=0)
         traced = record_trace_flags(monkeypatch)
-        recursive_partition(g, 1.0, MboConfig(gamma=1.0, nhat=2, trace=True))
+        recursive_partition(g, MboConfig(gamma=1.0, nhat=2, trace=True))
         assert traced and not any(traced)
 
     def test_determinism(self):
         g, _ = planted_partition(100, 4, 8.0, 1.0, seed=3)
         config = MboConfig(gamma=1.0, nhat=2, seed=6)
-        a = recursive_partition(g, 1.0, config)
-        b = recursive_partition(g, 1.0, config)
+        a = recursive_partition(g, config)
+        b = recursive_partition(g, config)
         assert np.array_equal(a, b)
