@@ -5,11 +5,7 @@ from .build import knn_graph, nonlocal_means_features, planted_partition, two_mo
 from .eigen import (
     DiffusionOperator,
     EigenBasis,
-    cached_eigenbasis,
     dense_spectrum,
-    graph_fingerprint,
-    load_basis,
-    save_basis,
     smallest_eigenpairs,
 )
 from .graph import (
@@ -36,7 +32,6 @@ from .io import (
     save_edge_list,
     save_features,
     save_labels,
-    save_matrix,
 )
 from .mbo import (
     MboConfig,
@@ -47,6 +42,7 @@ from .mbo import (
     random_partition_matrix,
     select_timestep,
     threshold,
+    timestep_bounds,
 )
 from .metrics import RunBatch, classification_rate, consistency, purity
 from .partition import kmeans_init, recursive_partition, sweep_nhat

@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--gain-tol", type=float,
                       help="modularity gain a recursive split must exceed (default 1e-10)")
     part.add_argument("--neig", type=int,
-                      help="eigenpairs to retain (default 5*nhat); not with --recursive")
+                      help="eigenpairs to retain (default 5*nhat, or 5*MAX with "
+                           "--sweep); not with --recursive")
     part.add_argument("--dt", type=float, help="explicit timestep override")
     part.add_argument("--seed", type=int, default=0)
     part.add_argument("--repeat", type=int, default=1)
@@ -143,6 +144,8 @@ def parse_args(argv) -> RunSpec:
                 setattr(options, attr, default)
             elif not value >= least:
                 parser.error(f"{flag}: must be at least {least}")
+        if options.neig is not None and options.neig < 1:
+            parser.error("--neig: must be at least 1")
         if options.recursive:
             if options.supervision:
                 parser.error("--supervision: not supported with --recursive")
@@ -166,7 +169,6 @@ def parse_args(argv) -> RunSpec:
             spec.mbo_config = MboConfig(
                 gamma=options.gamma,
                 nhat=nhat,
-                n_eig=options.neig,
                 dt=options.dt,
                 seed=options.seed,
                 trace=options.trace,
@@ -223,9 +225,7 @@ def _run_partition(spec: RunSpec) -> int:
 
     basis = None
     if not options.recursive:
-        n_eig = config.resolved_n_eig(graph.n_nodes)
-        if options.sweep:
-            n_eig = min(max(n_eig, 5 * config.nhat), graph.n_nodes)
+        n_eig = min(options.neig or 5 * config.nhat, graph.n_nodes)
         basis = smallest_eigenpairs(
             DiffusionOperator(graph, config.gamma), n_eig, seed=config.seed
         )
@@ -311,24 +311,30 @@ def _load_batch(path) -> RunBatch:
             parts = text.split(",")
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected '{BATCH_HEADER}'")
+            seed, mod, cls, ms = parts
             try:
-                int(parts[0])
-                float(parts[3])
-                mods.append(float(parts[1]))
-                if parts[2]:
-                    classes.append(float(parts[2]))
+                int(seed)
+                values = [float(mod), float(ms)] + ([float(cls)] if cls else [])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{path}: line {lineno}: non-finite entry")
+            mods.append(values[0])
+            classes.extend(values[2:])
+            if len(classes) not in (0, len(mods)):
+                raise ValueError(f"{path}: line {lineno}: classification on some rows only")
+    if not mods:
+        raise ValueError(f"{path}: no runs after the header")
     return RunBatch(np.array(mods), np.array(classes))
 
 
 def _run_metrics(options) -> int:
     pred = io.load_labels(options.pred)
     truth = io.load_labels(options.truth)
+    batch = _load_batch(options.batch) if options.batch else None
     print(f"purity: {purity(pred, truth):.6f}")
     print(f"classification: {classification_rate(pred, truth):.6f}")
-    if options.batch:
-        batch = _load_batch(options.batch)
+    if batch is not None:
         print(f"modularity consistency (tol {options.tol}): "
               f"{consistency(batch, 'modularity', options.tol):.6f}")
         if batch.classification.size:

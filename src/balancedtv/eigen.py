@@ -13,11 +13,8 @@ eigenvalues that single-vector Lanczos returns only once.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -30,10 +27,6 @@ __all__ = [
     "EigenBasis",
     "smallest_eigenpairs",
     "dense_spectrum",
-    "graph_fingerprint",
-    "save_basis",
-    "load_basis",
-    "cached_eigenbasis",
 ]
 
 DENSE_ORACLE_LIMIT = 2000
@@ -41,7 +34,6 @@ DENSE_ORACLE_LIMIT = 2000
 # basis the dense solve stays faster up to roughly 400 nodes, but its n x n
 # temporaries then raise peak memory, so the limit sits lower
 DENSE_SOLVE_LIMIT = 256
-_CACHE_MAGIC = b"BTVEIG1\x00"
 
 
 @dataclass(frozen=True)
@@ -60,11 +52,6 @@ class DiffusionOperator:
     @property
     def m(self) -> float:
         return self.graph.total_weight / 2.0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.graph.n_nodes
-        return (n, n)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M v = k*v - W v + (gamma/m) k (k . v); accepts vectors or matrices."""
@@ -96,21 +83,16 @@ class DiffusionOperator:
         dense += rank_one
         return dense
 
-    def as_linear_operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator(self.shape, matvec=self.apply, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class EigenBasis:
     """The n_eig smallest eigenpairs of a diffusion operator.
 
-    ``eigenvalues`` ascend, ``eigenvectors`` has orthonormal columns, and
-    ``operator_inf_bound`` carries 2(1+gamma)k_max for timestep selection.
+    ``eigenvalues`` ascend and ``eigenvectors`` has orthonormal columns.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    operator_inf_bound: float
 
     def __post_init__(self):
         object.__setattr__(
@@ -154,10 +136,9 @@ class EigenBasis:
             )
 
 
-def dense_spectrum(op: DiffusionOperator,
-                   max_nodes: int = DENSE_ORACLE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+def dense_spectrum(op: DiffusionOperator) -> tuple[np.ndarray, np.ndarray]:
     """Full spectrum via a dense symmetric eigendecomposition (test oracle)."""
-    dense = op.to_dense(max_nodes=max_nodes)
+    dense = op.to_dense()
     return scipy.linalg.eigh(dense)
 
 
@@ -175,7 +156,6 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, tol: float = 1e-8,
     n = op.graph.n_nodes
     if not 1 <= n_eig <= n:
         raise ValueError(f"n_eig must lie in [1, {n}], got {n_eig}")
-    bound = op.infinity_norm_bound()
 
     # one extra pair, when available, to detect a clustered truncation tail
     n_probe = min(n_eig + 1, n)
@@ -185,6 +165,7 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, tol: float = 1e-8,
             overwrite_a=True,
         )
     else:
+        bound = op.infinity_norm_bound()
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         folded = spla.LinearOperator(
@@ -222,64 +203,7 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, tol: float = 1e-8,
     basis = EigenBasis(
         eigenvalues=vals[:n_eig].copy(),
         eigenvectors=vecs[:, :n_eig].copy(),
-        operator_inf_bound=bound,
     )
     basis.validate(op)
     return basis
 
-
-# -- fingerprinting and the on-disk cache ------------------------------------
-
-
-def graph_fingerprint(graph: SparseGraph) -> str:
-    """Hex digest identifying the graph's exact CSR content."""
-    digest = hashlib.sha256()
-    digest.update(struct.pack("<q", graph.n_nodes))
-    for arr in (graph.row_offsets, graph.col_indices, graph.weights):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
-
-
-def save_basis(path, basis: EigenBasis, gamma: float) -> None:
-    """Binary dump: magic, int64 N, int64 n_eig, float64 gamma, float64
-    inf-norm bound, then eigenvalues and row-major eigenvectors, all
-    little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<qqdd", basis.n_nodes, basis.n_eig, gamma,
-                             basis.operator_inf_bound))
-        fh.write(basis.eigenvalues.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.eigenvectors, dtype="<f8").tobytes())
-
-
-def load_basis(path) -> tuple[EigenBasis, float]:
-    """Inverse of :func:`save_basis`; returns (basis, gamma)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not an eigenbasis cache file")
-        n, n_eig, gamma, bound = struct.unpack("<qqdd", fh.read(32))
-        vals = np.frombuffer(fh.read(8 * n_eig), dtype="<f8")
-        vecs = np.frombuffer(fh.read(8 * n * n_eig), dtype="<f8").reshape(n, n_eig)
-    basis = EigenBasis(
-        eigenvalues=vals.astype(np.float64),
-        eigenvectors=vecs.astype(np.float64),
-        operator_inf_bound=bound,
-    )
-    return basis, gamma
-
-
-def cached_eigenbasis(cache_dir, op: DiffusionOperator, n_eig: int,
-                      tol: float = 1e-8, seed: int = 0) -> EigenBasis:
-    """Load the basis for (graph, gamma, n_eig) from ``cache_dir``, computing
-    and saving it on a miss."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = f"{graph_fingerprint(op.graph)[:24]}-g{op.gamma!r}-k{n_eig}.eig"
-    path = cache_dir / key
-    if path.exists():
-        basis, _ = load_basis(path)
-        return basis
-    basis = smallest_eigenpairs(op, n_eig, tol=tol, seed=seed)
-    save_basis(path, basis, op.gamma)
-    return basis

@@ -114,8 +114,8 @@ class SparseGraph:
         """Build from edge triplets.
 
         With ``symmetrize=True`` each triplet (i, j, w) also contributes
-        (j, i, w); repeated triplets accumulate.  Without it the triplets must
-        already describe a symmetric matrix.
+        (j, i, w); repeated triplets accumulate in either orientation.  Without
+        it the triplets must already describe a symmetric matrix.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -126,12 +126,11 @@ class SparseGraph:
         if np.any(weights < 0):
             raise ValueError("edge weights must be nonnegative")
         if symmetrize:
-            off = rows != cols
-            rows, cols, weights = (
-                np.concatenate([rows, cols[off]]),
-                np.concatenate([cols, rows[off]]),
-                np.concatenate([weights, weights[off]]),
-            )
+            # mirror the upper triangle after its repeats are summed, so that
+            # W[i, j] and W[j, i] are the same float
+            upper = sp.coo_matrix((weights, (np.minimum(rows, cols), np.maximum(rows, cols))),
+                                  shape=(n_nodes, n_nodes)).tocsr()
+            return cls.from_scipy(upper + upper.T)
         w = sp.coo_matrix((weights, (rows, cols)), shape=(n_nodes, n_nodes))
         return cls.from_scipy(w)
 

@@ -1,10 +1,9 @@
-"""File formats: edge lists, label CSVs, feature matrices, assignment dumps.
+"""File formats: edge lists, label CSVs and feature matrices.
 
 Edge list: whitespace-separated lines ``i j w`` with 0-based node indices,
 one undirected edge per line (the loader adds both directions); ``#`` starts
 a comment line.  Labels: CSV ``node,label`` with a header.  Features: CSV of
-floats, one row per point, no header.  Assignment matrices: dense CSV, one
-row per node.
+floats, one row per point, no header.
 """
 
 from __future__ import annotations
@@ -21,18 +20,20 @@ __all__ = [
     "save_labels",
     "load_features",
     "save_features",
-    "save_matrix",
 ]
 
+WEIGHT_SUM_LIMIT = np.finfo(np.float64).max / 4  # keeps every degree and 2m finite
 
-def load_edge_list(path, n_nodes: int | None = None) -> SparseGraph:
-    """Parse an edge-list file into a validated :class:`SparseGraph`.
 
-    Malformed lines and negative or non-finite weights are reported with
-    their 1-based line number.  ``n_nodes`` forces the node count (for graphs
-    with trailing isolated nodes); otherwise it is max index + 1.
+def load_edge_list(path) -> SparseGraph:
+    """Parse an edge-list file into a validated :class:`SparseGraph` whose
+    node count is the largest index + 1.
+
+    Malformed lines, negative or non-finite weights and a weight that makes
+    the total overflow are reported with their 1-based line number.
     """
     rows, cols, weights = [], [], []
+    total = 0.0
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -54,11 +55,13 @@ def load_edge_list(path, n_nodes: int | None = None) -> SparseGraph:
             if not 0 <= w < np.inf:
                 raise ValueError(f"{path}: line {lineno}: weight {w} is not a "
                                  "finite nonnegative number")
+            total += w
+            if total > WEIGHT_SUM_LIMIT:
+                raise ValueError(f"{path}: line {lineno}: total edge weight overflows")
             rows.append(i)
             cols.append(j)
             weights.append(w)
-    if n_nodes is None:
-        n_nodes = max(max(rows, default=-1), max(cols, default=-1)) + 1
+    n_nodes = max(max(rows, default=-1), max(cols, default=-1)) + 1
     graph = SparseGraph.from_coo(n_nodes, rows, cols, weights, symmetrize=True)
     graph.validate()
     return graph
@@ -135,8 +138,3 @@ def load_features(path) -> np.ndarray:
 
 def save_features(path, features) -> None:
     np.savetxt(path, np.asarray(features, dtype=np.float64), delimiter=",", fmt="%.17g")
-
-
-def save_matrix(path, u) -> None:
-    """Dense CSV dump of a soft or one-hot assignment matrix, row per node."""
-    np.savetxt(path, np.asarray(u, dtype=np.float64), delimiter=",", fmt="%.17g")

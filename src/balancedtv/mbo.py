@@ -22,11 +22,13 @@ from .graph import (
     balanced_tv,
     labels_to_matrix,
     modularity,
+    validate_partition_matrix,
 )
 
 __all__ = [
     "MboConfig",
     "MboResult",
+    "timestep_bounds",
     "select_timestep",
     "diffuse",
     "fidelity_step",
@@ -36,28 +38,26 @@ __all__ = [
 ]
 
 DT_CAP_FACTOR = 1e3  # dt never exceeds this multiple of the freezing bound
+DECAY_EPSILON = 1.0  # target amplitude in the decay-time upper bound
+REFINE_FACTOR = 0.1  # the refinement phase runs at this fraction of dt
 
 
 @dataclass(frozen=True)
 class MboConfig:
     """Run parameters for one MBO solve.
 
-    ``n_eig`` defaults to 5 * nhat (capped at the node count downstream);
-    ``dt`` overrides the automatic timestep when set; ``decay_epsilon`` is
-    the target amplitude in the decay-time upper bound; ``refine`` continues
-    from the first fixed point with ``dt * refine_factor``; ``trace`` records
+    The eigenbasis passed to ``mbo_run`` fixes how many eigenpairs are used.
+    ``dt`` overrides the automatic timestep when set; ``refine`` continues
+    from the first fixed point with ``dt * REFINE_FACTOR``; ``trace`` records
     every iterate's balanced TV and modularity, which costs more than the loop.
     """
 
     gamma: float
     nhat: int
-    n_eig: int | None = None
     dt: float | None = None
-    decay_epsilon: float = 1.0
     max_iters: int = 300
     seed: int = 0
     refine: bool = True
-    refine_factor: float = 0.1
     trace: bool = False
 
     def __post_init__(self):
@@ -65,20 +65,10 @@ class MboConfig:
             raise ValueError("gamma must be positive")
         if self.nhat < 1:
             raise ValueError("nhat must be at least 1")
-        if self.n_eig is not None and self.n_eig < 1:
-            raise ValueError("n_eig must be at least 1")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive when given")
-        if self.decay_epsilon <= 0:
-            raise ValueError("decay_epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.refine_factor < 1.0:
-            raise ValueError("refine_factor must lie in (0, 1)")
-
-    def resolved_n_eig(self, n_nodes: int) -> int:
-        n_eig = 5 * self.nhat if self.n_eig is None else self.n_eig
-        return min(n_eig, n_nodes)
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,6 @@ class MboResult:
     """Outcome of one MBO solve: final assignment and diagnostics."""
 
     labels: np.ndarray
-    u: np.ndarray
     iterations: int
     dt_used: float
     energy_trace: np.ndarray       # balanced TV of each thresholded iterate
@@ -96,26 +85,31 @@ class MboResult:
     nhat: int
 
 
-def select_timestep(basis: EigenBasis, graph: SparseGraph, gamma: float,
-                    config: MboConfig) -> float:
+def timestep_bounds(graph: SparseGraph, gamma: float) -> tuple[float, float]:
+    """(tau_lo, cap): the freezing lower bound
+    tau_lo = log(2) / (2 (gamma+1) k_max), below which no threshold step can
+    move a label, and the largest admissible timestep DT_CAP_FACTOR * tau_lo."""
+    tau_lo = np.log(2.0) / (2.0 * (gamma + 1.0) * float(graph.degrees.max()))
+    return tau_lo, DT_CAP_FACTOR * tau_lo
+
+
+def select_timestep(basis: EigenBasis, graph: SparseGraph, config: MboConfig) -> float:
     """Automatic MBO timestep.
 
-    Geometric mean of the freezing lower bound
-    tau_lo = log(2) / (2 (gamma+1) k_max) and the decay-time upper bound
-    tau_hi = log(sqrt(N)/eps) / lambda_1, clamped to [tau_lo, 1e3 tau_lo].
-    A degenerate lambda_1 <= 0 (near-disconnected graph) falls back to the
-    cap.  An explicit ``config.dt`` is returned unchanged.
+    Geometric mean of the freezing lower bound tau_lo (see
+    :func:`timestep_bounds`) and the decay-time upper bound
+    tau_hi = log(sqrt(N)/DECAY_EPSILON) / lambda_1, clamped to
+    [tau_lo, cap].  A degenerate lambda_1 <= 0 (near-disconnected graph)
+    falls back to the cap.  An explicit ``config.dt`` is returned unchanged.
     """
     if config.dt is not None:
         return config.dt
-    k_max = float(graph.degrees.max())
-    tau_lo = np.log(2.0) / (2.0 * (gamma + 1.0) * k_max)
-    cap = DT_CAP_FACTOR * tau_lo
+    tau_lo, cap = timestep_bounds(graph, config.gamma)
     lam1 = basis.lambda_min
     if lam1 <= 0.0:
         return cap
     u0_norm = np.sqrt(graph.n_nodes)  # Frobenius norm of any partition matrix
-    log_ratio = np.log(u0_norm / config.decay_epsilon)
+    log_ratio = np.log(u0_norm / DECAY_EPSILON)
     if log_ratio <= 0.0:
         return tau_lo
     tau_hi = log_ratio / lam1
@@ -203,7 +197,7 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
     Starts from ``init`` (a one-hot matrix) or from seeded random one-hot
     rows, iterates diffuse / fidelity / threshold until the thresholded
     partition repeats, then optionally refines from that fixed point with
-    ``dt * refine_factor`` until stationary again.  Hitting ``max_iters`` in
+    ``dt * REFINE_FACTOR`` until stationary again.  Hitting ``max_iters`` in
     a phase is reported via ``converged=False``, not an error.  Identical
     (graph, basis, config, supervision, init) reproduce the result exactly.
     """
@@ -224,15 +218,19 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
             raise ValueError(
                 f"init has shape {u.shape}, expected {(graph.n_nodes, config.nhat)}"
             )
-    dt = select_timestep(basis, graph, config.gamma, config)
+        try:
+            validate_partition_matrix(u)
+        except ValueError as exc:
+            raise ValueError(f"init: {exc}") from None
+    dt = select_timestep(basis, graph, config)
 
     history = [] if config.trace else None
     u, labels, iters, converged = _sweep_to_fixed_point(
         basis, u, dt, supervision, config.max_iters, history
     )
     if config.refine and converged:
-        u, labels, extra, converged = _sweep_to_fixed_point(
-            basis, u, dt * config.refine_factor, supervision, config.max_iters, history
+        _, labels, extra, converged = _sweep_to_fixed_point(
+            basis, u, dt * REFINE_FACTOR, supervision, config.max_iters, history
         )
         iters += extra
 
@@ -245,7 +243,6 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
     )
     return MboResult(
         labels=labels,
-        u=u,
         iterations=iters,
         dt_used=dt,
         energy_trace=energy_trace,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .eigen import DiffusionOperator, EigenBasis, smallest_eigenpairs
 from .graph import SparseGraph, Supervision, labels_to_matrix, modularity
-from .mbo import DT_CAP_FACTOR, MboConfig, MboResult, mbo_run, select_timestep
+from .mbo import DT_CAP_FACTOR, MboConfig, MboResult, mbo_run, select_timestep, timestep_bounds
 
 __all__ = ["kmeans_init", "sweep_nhat", "recursive_partition"]
 
@@ -97,10 +97,10 @@ def _sweep_timesteps(graph: SparseGraph, basis: EigenBasis,
     ``config.dt`` pins it, a DT_LADDER-rung geometric ladder across the
     admissible range [tau_lo, cap].  Diffusion reuses the one basis, so
     extra timesteps cost no eigenwork."""
-    auto = select_timestep(basis, graph, config.gamma, config)
+    auto = select_timestep(basis, graph, config)
     if config.dt is not None:
         return [auto]
-    tau_lo = np.log(2.0) / (2.0 * (config.gamma + 1.0) * float(graph.degrees.max()))
+    tau_lo, _ = timestep_bounds(graph, config.gamma)
     rungs = tau_lo * np.logspace(0.1, np.log10(DT_CAP_FACTOR), DT_LADDER)
     return sorted(set(float(dt) for dt in rungs) | {auto})
 
@@ -146,7 +146,7 @@ def sweep_nhat(graph: SparseGraph, nhats, config: MboConfig,
                 supervision.nodes, sup_labels, nhat, supervision.weight
             )
         for dt in timesteps:
-            run_config = replace(config, nhat=nhat, n_eig=basis.n_eig, dt=dt)
+            run_config = replace(config, nhat=nhat, dt=dt)
             result = mbo_run(graph, basis, run_config, supervision=sup)
             if best is None or result.modularity > best.modularity:
                 best = result
@@ -190,7 +190,7 @@ def recursive_partition(graph: SparseGraph, config: MboConfig,
         sub_seed = config.seed + subproblem
         subproblem += 1
         basis = smallest_eigenpairs(op, n_eig, seed=sub_seed)
-        sub_config = replace(config, n_eig=n_eig, seed=sub_seed, trace=False)
+        sub_config = replace(config, seed=sub_seed, trace=False)
         init = kmeans_init(basis, config.nhat, seed=sub_seed)
         result = mbo_run(sub, basis, sub_config, init=init)
 

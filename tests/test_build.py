@@ -14,7 +14,6 @@ from balancedtv import (
     save_edge_list,
     save_features,
     save_labels,
-    save_matrix,
     two_moons,
 )
 
@@ -173,6 +172,20 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="line 2"):
             load_edge_list(path)
 
+    def test_weight_sum_overflow_names_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1 1e307\n1 2 1e307\n0 2 1e308\n")
+        with pytest.raises(ValueError, match="line 3: total edge weight overflows"):
+            load_edge_list(path)
+
+    def test_repeated_edges_in_both_orientations(self, tmp_path):
+        # both orientations sum the same three weights, which rounds
+        # differently in different orders; the two entries must still agree
+        path = tmp_path / "g.txt"
+        path.write_text("0 1 0.1\n1 0 0.1\n0 1 1.0\n")
+        w = load_edge_list(path).adjacency.toarray()
+        assert w[0, 1] == w[1, 0] == pytest.approx(1.2)
+
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1 1.0\n0 2\n")
@@ -226,8 +239,3 @@ class TestFileFormats:
         path = tmp_path / "pts.csv"
         save_features(path, feats)
         assert np.array_equal(load_features(path), feats)
-
-    def test_matrix_dump_shape(self, tmp_path):
-        path = tmp_path / "u.csv"
-        save_matrix(path, np.eye(3))
-        assert np.loadtxt(path, delimiter=",").shape == (3, 3)

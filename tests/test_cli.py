@@ -129,6 +129,15 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", [["--nhat", "2"], ["--sweep", "2..4"]])
+    def test_nonpositive_neig_rejected_at_parse_time(self, tmp_path, capsys, strategy):
+        edges = write_cliques(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["partition", "--edges", str(edges), *strategy,
+                        "--neig", "0", "--out", "x"])
+        assert exc.value.code == 2
+        assert "--neig" in capsys.readouterr().err
+
     def test_recursive_defaults_resolved(self, tmp_path):
         edges = write_cliques(tmp_path)
         options = parse_args(["partition", "--edges", str(edges), "--recursive",
@@ -230,6 +239,20 @@ class TestEndToEnd:
             "partition", "--edges", str(edges), "--sweep", "2..4",
             "--truth", str(truth), "--out", str(tmp_path / "swp"),
         ]) == 0
+
+    @pytest.mark.parametrize("neig,asked", [(None, 20), ("3", 3), ("25", 25)])
+    def test_sweep_basis_size_follows_neig(self, tmp_path, monkeypatch, neig, asked):
+        import balancedtv.cli as cli_mod
+
+        edges, _ = write_planted(tmp_path, 90, 3)
+        sizes = []
+        real = cli_mod.smallest_eigenpairs
+        monkeypatch.setattr(cli_mod, "smallest_eigenpairs",
+                            lambda op, n_eig, **k: sizes.append(n_eig) or real(op, n_eig, **k))
+        flags = [] if neig is None else ["--neig", neig]
+        assert main(["partition", "--edges", str(edges), "--sweep", "2..4", *flags,
+                     "--out", str(tmp_path / "swept")]) == 0
+        assert sizes == [asked]
 
     def test_sweep_writes_trace(self, tmp_path):
         edges, _ = write_planted(tmp_path, 90, 3)
@@ -356,6 +379,12 @@ class TestEndToEnd:
          "line 3"),
         ("seed,modularity,classification,wall_time_ms\n0,1.0,,3.0\n1,x,,3.0\n",
          "line 3"),
+        ("seed,modularity,classification,wall_time_ms\n0,nan,,1.0\n", "line 2: non-finite"),
+        ("seed,modularity,classification,wall_time_ms\n0,0.5,inf,1.0\n", "line 2: non-finite"),
+        ("seed,modularity,classification,wall_time_ms\n0,0.5,,-inf\n", "line 2: non-finite"),
+        ("seed,modularity,classification,wall_time_ms\n0,1.0,,3.0\n1,1.0,1.0,3.0\n",
+         "line 3: classification"),
+        ("seed,modularity,classification,wall_time_ms\n\n", "no runs after the header"),
     ])
     def test_metrics_batch_rejects_malformed(self, tmp_path, capsys, content, where):
         pred = tmp_path / "pred.csv"
@@ -364,8 +393,9 @@ class TestEndToEnd:
         batch.write_text(content)
         assert main(["metrics", "--pred", str(pred), "--truth", str(pred),
                      "--batch", str(batch)]) == 1
-        err = capsys.readouterr().err
-        assert str(batch) in err and where in err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the batch is read before anything is printed
+        assert f"{batch}: {where}" in captured.err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -6,11 +6,7 @@ from balancedtv import (
     DiffusionOperator,
     EigenBasis,
     SparseGraph,
-    cached_eigenbasis,
     dense_spectrum,
-    graph_fingerprint,
-    load_basis,
-    save_basis,
     smallest_eigenpairs,
 )
 from conftest import complete_graph, path_graph, random_graph
@@ -213,49 +209,7 @@ class TestBasisValidation:
         bogus = EigenBasis(
             eigenvalues=np.array([0.0, 1.0]),
             eigenvectors=rng.standard_normal((10, 2)),
-            operator_inf_bound=op.infinity_norm_bound(),
         )
         with pytest.raises(ValueError):
             bogus.validate(op)
 
-
-class TestBasisCache:
-    def test_save_load_round_trip(self, tmp_path, rng):
-        g = random_graph(rng, 30)
-        op = DiffusionOperator(g, 1.5)
-        basis = smallest_eigenpairs(op, 5)
-        path = tmp_path / "basis.eig"
-        save_basis(path, basis, 1.5)
-        loaded, gamma = load_basis(path)
-        assert gamma == 1.5
-        assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
-        assert np.array_equal(loaded.eigenvectors, basis.eigenvectors)
-        assert loaded.operator_inf_bound == basis.operator_inf_bound
-
-    def test_magic_check(self, tmp_path):
-        path = tmp_path / "junk.eig"
-        path.write_bytes(b"not a cache file")
-        with pytest.raises(ValueError, match="cache"):
-            load_basis(path)
-
-    def test_cached_eigenbasis_hits_disk(self, tmp_path, rng, monkeypatch):
-        import balancedtv.eigen as eigen_mod
-
-        g = random_graph(rng, 25)
-        op = DiffusionOperator(g, 1.0)
-        first = cached_eigenbasis(tmp_path, op, 4)
-        calls = []
-        real = eigen_mod.smallest_eigenpairs
-        monkeypatch.setattr(
-            eigen_mod, "smallest_eigenpairs",
-            lambda *a, **k: calls.append(1) or real(*a, **k),
-        )
-        second = cached_eigenbasis(tmp_path, op, 4)
-        assert calls == []  # served from disk
-        assert np.array_equal(first.eigenvalues, second.eigenvalues)
-
-    def test_fingerprint_sensitivity(self, rng):
-        g1 = random_graph(rng, 12)
-        g2 = random_graph(rng, 12)
-        assert graph_fingerprint(g1) == graph_fingerprint(g1)
-        assert graph_fingerprint(g1) != graph_fingerprint(g2)

@@ -13,7 +13,6 @@ from balancedtv import (
     Supervision,
     diffuse,
     fidelity_step,
-    labels_to_matrix,
     mbo_run,
     modularity,
     random_partition_matrix,
@@ -44,33 +43,32 @@ class TestSelectTimestep:
         g = SparseGraph.from_dense(dense)
         basis = full_basis(g, 1.0)
         config = MboConfig(gamma=1.0, nhat=2)
-        dt = select_timestep(basis, g, 1.0, config)
+        dt = select_timestep(basis, g, config)
         tau_lo = np.log(2.0) / 40.0
         assert tau_lo == pytest.approx(0.017328679513998632)
         assert dt >= tau_lo
 
     def test_two_node_geometric_mean(self):
         basis = full_basis(TWO_NODE, 1.0)
-        config = MboConfig(gamma=1.0, nhat=2, decay_epsilon=1.0)
+        config = MboConfig(gamma=1.0, nhat=2)
         # tau_lo = log2/4 and tau_hi = (1/2) log sqrt(2) coincide here
-        assert select_timestep(basis, TWO_NODE, 1.0, config) == pytest.approx(
+        assert select_timestep(basis, TWO_NODE, config) == pytest.approx(
             0.17328679513998632
         )
 
     def test_explicit_override(self):
         basis = full_basis(TWO_NODE, 1.0)
         config = MboConfig(gamma=1.0, nhat=2, dt=0.123)
-        assert select_timestep(basis, TWO_NODE, 1.0, config) == 0.123
+        assert select_timestep(basis, TWO_NODE, config) == 0.123
 
     def test_degenerate_lambda_clamps_to_cap(self):
         basis = EigenBasis(
             eigenvalues=np.array([0.0, 1.0]),
             eigenvectors=np.eye(2),
-            operator_inf_bound=4.0,
         )
         config = MboConfig(gamma=1.0, nhat=2)
         tau_lo = np.log(2.0) / 4.0
-        assert select_timestep(basis, TWO_NODE, 1.0, config) == pytest.approx(
+        assert select_timestep(basis, TWO_NODE, config) == pytest.approx(
             DT_CAP_FACTOR * tau_lo
         )
 
@@ -80,7 +78,7 @@ class TestSelectTimestep:
             gamma = rng.uniform(0.2, 3.0)
             basis = smallest_eigenpairs(DiffusionOperator(g, gamma), 4)
             config = MboConfig(gamma=gamma, nhat=2)
-            dt = select_timestep(basis, g, gamma, config)
+            dt = select_timestep(basis, g, config)
             tau_lo = np.log(2.0) / (2.0 * (gamma + 1.0) * g.degrees.max())
             assert tau_lo <= dt <= DT_CAP_FACTOR * tau_lo + 1e-15
 
@@ -240,7 +238,7 @@ class TestMboRun:
             config = MboConfig(gamma=gamma, nhat=2, dt=tau, refine=False, seed=0)
             result = mbo_run(g, basis, config, init=init)
             assert result.iterations == 1
-            assert np.array_equal(result.u, init)
+            assert np.array_equal(result.labels, np.argmax(init, axis=1))
 
     def test_separates_disconnected_cliques_at_optimum(self, rng):
         g = two_cliques(5)
@@ -270,6 +268,19 @@ class TestMboRun:
         result = mbo_run(g, basis, MboConfig(gamma=1.0, nhat=2, seed=2), supervision=sup)
         assert np.array_equal(result.labels[nodes], targets)
 
+    @pytest.mark.parametrize("make_init", [
+        lambda n: np.full((n, 4), 0.25),
+        lambda n: np.eye(4)[np.arange(n) % 4] * 2.0,
+        lambda n: np.vstack([np.eye(4)[np.arange(n - 1) % 4], np.ones(4)]),
+    ], ids=["uniform-rows", "scaled-one-hot", "all-ones-row"])
+    def test_init_must_be_one_hot(self, make_init):
+        from balancedtv import planted_partition
+
+        g, _ = planted_partition(1000, 6, 10.0, 1.0, seed=0)
+        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 20)
+        with pytest.raises(ValueError, match="^init: "):
+            mbo_run(g, basis, MboConfig(gamma=1.0, nhat=4), init=make_init(g.n_nodes))
+
     def test_determinism(self, rng):
         g = random_graph(rng, 30)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 10)
@@ -277,7 +288,6 @@ class TestMboRun:
         a = mbo_run(g, basis, config)
         b = mbo_run(g, basis, config)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.u, b.u)
         assert a.iterations == b.iterations
         assert a.dt_used == b.dt_used
         assert np.array_equal(a.energy_trace, b.energy_trace)
@@ -287,7 +297,6 @@ class TestMboRun:
         g = random_graph(rng, 25)
         basis = smallest_eigenpairs(DiffusionOperator(g, 0.8), 10)
         result = mbo_run(g, basis, MboConfig(gamma=0.8, nhat=2, seed=5, trace=True))
-        assert np.array_equal(labels_to_matrix(result.labels, 2), result.u)
         assert np.all(np.isfinite(result.energy_trace))
         assert result.modularity == pytest.approx(
             modularity(g, result.labels, 0.8), rel=1e-12
@@ -306,7 +315,6 @@ class TestMboRun:
                              supervision=supervision)
                 assert np.array_equal(off.labels, on.labels)
                 assert off.labels.dtype == on.labels.dtype
-                assert np.array_equal(off.u, on.u)
                 assert off.iterations == on.iterations
                 assert off.dt_used == on.dt_used
                 assert off.modularity == on.modularity
@@ -350,7 +358,5 @@ class TestMboRun:
             MboConfig(gamma=-1.0, nhat=2)
         with pytest.raises(ValueError):
             MboConfig(gamma=1.0, nhat=0)
-        with pytest.raises(ValueError):
-            MboConfig(gamma=1.0, nhat=2, refine_factor=1.5)
         with pytest.raises(ValueError):
             MboConfig(gamma=1.0, nhat=2, dt=-0.1)

@@ -95,9 +95,9 @@ class TestSweep:
             DiffusionOperator(g, 1.0), min(15, g.n_nodes), seed=config.seed
         )
         # pinning dt to the automatic choice leaves the sweep one timestep
-        auto = select_timestep(basis, g, 1.0, config)
+        auto = select_timestep(basis, g, config)
         swept = sweep_nhat(g, [3], replace(config, dt=auto))
-        fixed_config = MboConfig(gamma=1.0, nhat=3, n_eig=basis.n_eig, seed=7)
+        fixed_config = MboConfig(gamma=1.0, nhat=3, seed=7)
         fixed = mbo_run(g, basis, fixed_config)
         assert np.array_equal(swept.labels, fixed.labels)
         assert swept.modularity == fixed.modularity
@@ -106,7 +106,7 @@ class TestSweep:
         g = random_graph(rng, 24, density=0.3)
         config = MboConfig(gamma=1.0, nhat=3, seed=2)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 15, seed=2)
-        auto = select_timestep(basis, g, 1.0, config)
+        auto = select_timestep(basis, g, config)
         plain = sweep_nhat(g, range(1, 4), replace(config, dt=auto))
         laddered = sweep_nhat(g, range(1, 4), config)
         assert laddered.modularity >= plain.modularity - 1e-12
