@@ -71,7 +71,7 @@ def main():
     picked = rng.choice(graph.n_nodes,
                         size=int(args.supervised_fraction * graph.n_nodes),
                         replace=False)
-    sup = Supervision.from_labels(picked, truth[picked], 2, args.supervision_weight)
+    sup = Supervision(picked, truth[picked], args.supervision_weight)
     supervised, times = run_batch(graph, basis, truth, args.gamma, seeds, sup)
     print(f"{args.supervised_fraction:.0%} supervised: "
           f"best modularity {supervised.modularity.max():.4f}, "

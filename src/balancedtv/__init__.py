@@ -18,10 +18,8 @@ from .graph import (
     gl_energy,
     graph_tv,
     labels_to_matrix,
-    matrix_to_labels,
     modularity,
     ssl_energy,
-    validate_partition_matrix,
     volume,
 )
 from .io import (
@@ -39,7 +37,6 @@ from .mbo import (
     diffuse,
     fidelity_step,
     mbo_run,
-    random_partition_matrix,
     select_timestep,
     threshold,
     timestep_bounds,

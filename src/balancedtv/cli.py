@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--truth", help="ground-truth CSV for scoring")
     part.add_argument("--out", required=True, metavar="PREFIX")
     part.add_argument("--trace", action="store_true",
-                      help="write the best run's per-iteration energy trace")
+                      help="write the best run's per-iteration energy trace; "
+                           "not with --recursive")
 
     met = sub.add_parser("metrics", help="score label files")
     met.add_argument("--pred", required=True)
@@ -151,6 +152,8 @@ def parse_args(argv) -> RunSpec:
                 parser.error("--supervision: not supported with --recursive")
             if options.neig is not None:
                 parser.error("--neig: not used with --recursive")
+            if options.trace:
+                parser.error("--trace: not supported with --recursive")
             nhat = options.split_factor
         elif options.sweep is not None:
             pieces = options.sweep.split("..")
@@ -213,15 +216,12 @@ def _run_partition(spec: RunSpec) -> int:
 
     supervision = None
     if options.supervision:
-        nodes, sup_labels = io.load_label_pairs(options.supervision)
-        classes = int(sup_labels.max(initial=-1)) + 1
-        if classes > config.nhat:
+        supervision = Supervision(*io.load_label_pairs(options.supervision),
+                                  options.supervision_weight)
+        if supervision.classes > config.nhat:
             flag = "--sweep" if options.sweep else "--nhat"
             raise ValueError(f"{flag}: at most {config.nhat} communities, fewer "
-                             f"than the {classes} classes of --supervision")
-        supervision = Supervision.from_labels(
-            nodes, sup_labels, config.nhat, options.supervision_weight
-        )
+                             f"than the {supervision.classes} classes of --supervision")
 
     basis = None
     if not options.recursive:
@@ -253,17 +253,17 @@ def _run_partition(spec: RunSpec) -> int:
             cls_text = "" if cls is None else repr(cls)
             fh.write(f"{seed},{q!r},{cls_text},{ms:.3f}\n")
     if options.trace:
-        result = outcomes[best_idx][2]
-        if result is not None:  # seeded runs repeat exactly, so this is the kept run
-            result = _partition_once(graph, basis, options, config, supervision,
-                                     seeds[best_idx])[2]
+        # seeded runs repeat exactly, so rerunning the kept run's seed, count
+        # and timestep with traces on reproduces it
+        kept = outcomes[best_idx][2]
+        rerun = replace(config, seed=seeds[best_idx], nhat=kept.nhat, dt=kept.dt_used)
+        result = mbo_run(graph, basis, rerun, supervision=supervision)
         with open(f"{options.out}_trace.csv", "w") as fh:
             fh.write("iteration,balanced_tv,modularity\n")
-            if result is not None:
-                for i, (tv, q) in enumerate(
-                    zip(result.energy_trace, result.modularity_trace), start=1
-                ):
-                    fh.write(f"{i},{float(tv)!r},{float(q)!r}\n")
+            for i, (tv, q) in enumerate(
+                zip(result.energy_trace, result.modularity_trace), start=1
+            ):
+                fh.write(f"{i},{float(tv)!r},{float(q)!r}\n")
 
     print(f"runs: {len(rows)}")
     print(f"best modularity: {max(row[1] for row in rows):.6f}")

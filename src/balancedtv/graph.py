@@ -7,9 +7,9 @@ total variation, modularity with resolution parameter gamma, the balanced-cut
 and balanced-TV reformulations of modularity, a Ginzburg-Landau diagnostic
 energy, and the fidelity-augmented objective for semi-supervised runs.
 
-Partitions are carried in two interchangeable views: an integer label vector
-of length N, or an N x nhat one-hot assignment matrix.  Conversions between
-the two are lossless.
+A partition passes between modules as an integer label vector of length N.
+The N x nhat one-hot matrix of :func:`labels_to_matrix` is only the working
+form of the MBO diffuse/threshold step and of the matrix energies below.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "SparseGraph",
     "Supervision",
     "labels_to_matrix",
-    "matrix_to_labels",
-    "validate_partition_matrix",
     "cut",
     "volume",
     "graph_tv",
@@ -204,37 +202,18 @@ def _as_column_matrix(u) -> np.ndarray:
     return u
 
 
-# -- partition views --------------------------------------------------------
+# -- partitions --------------------------------------------------------------
 
 
-def labels_to_matrix(labels, n_communities: int | None = None) -> np.ndarray:
-    """One-hot N x nhat matrix for an integer label vector."""
+def labels_to_matrix(labels, n_communities: int) -> np.ndarray:
+    """One-hot N x n_communities matrix for an integer label vector."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    nhat = int(labels.max()) + 1 if labels.size else 0
-    if n_communities is not None:
-        if labels.size and labels.max() >= n_communities:
-            raise ValueError("label id exceeds the requested community count")
-        nhat = n_communities
+    if labels.size and labels.max() >= n_communities:
+        raise ValueError("label id exceeds the requested community count")
     if labels.size and labels.min() < 0:
         raise ValueError("labels must be nonnegative")
-    u = np.zeros((labels.size, nhat), dtype=np.float64)
+    u = np.zeros((labels.size, n_communities), dtype=np.float64)
     u[np.arange(labels.size), labels] = 1.0
-    return u
-
-
-def matrix_to_labels(u) -> np.ndarray:
-    """Label vector for a one-hot partition matrix (validates the input)."""
-    u = validate_partition_matrix(u)
-    return np.argmax(u, axis=1).astype(np.int64)
-
-
-def validate_partition_matrix(u) -> np.ndarray:
-    """Check that every row of ``u`` is one-hot; returns the array."""
-    u = _as_column_matrix(u)
-    if not np.all((u == 0.0) | (u == 1.0)):
-        raise ValueError("partition matrix entries must be 0 or 1")
-    if not np.all(u.sum(axis=1) == 1.0):
-        raise ValueError("every partition matrix row must have exactly one 1")
     return u
 
 
@@ -242,46 +221,43 @@ def validate_partition_matrix(u) -> np.ndarray:
 class Supervision:
     """Known labels for a subset of nodes plus the fidelity weight.
 
-    ``nodes`` lists the supervised node ids, ``targets`` holds the matching
-    one-hot rows of the target matrix f, and ``weight`` is the fidelity
-    strength (lambda >= 0).
+    ``nodes`` lists the supervised node ids, ``labels`` their community
+    labels, and ``weight`` is the fidelity strength (lambda >= 0).
     """
 
     nodes: np.ndarray
-    targets: np.ndarray
+    labels: np.ndarray
     weight: float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.int64).ravel()
-        targets = validate_partition_matrix(self.targets)
+        labels = np.asarray(self.labels, dtype=np.int64).ravel()
         if nodes.size != np.unique(nodes).size:
             raise ValueError("supervised node ids must be unique")
-        if targets.shape[0] != nodes.size:
-            raise ValueError("one target row per supervised node required")
+        if labels.size != nodes.size:
+            raise ValueError("one label per supervised node required")
+        if labels.size and labels.min() < 0:
+            raise ValueError("supervised labels must be nonnegative")
         if self.weight < 0:
             raise ValueError("fidelity weight must be nonnegative")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "targets", targets)
-
-    @classmethod
-    def from_labels(cls, nodes, labels, n_communities: int, weight: float) -> "Supervision":
-        return cls(
-            nodes=np.asarray(nodes, dtype=np.int64),
-            targets=labels_to_matrix(labels, n_communities),
-            weight=float(weight),
-        )
+        object.__setattr__(self, "labels", labels)
 
     @property
-    def n_communities(self) -> int:
-        return self.targets.shape[1]
+    def classes(self) -> int:
+        """Communities the labels need: the largest label + 1."""
+        return int(self.labels.max(initial=-1)) + 1
+
+    def targets(self, nhat: int) -> np.ndarray:
+        """The supervised rows of the one-hot target matrix f."""
+        return labels_to_matrix(self.labels, nhat)
 
     def check_against(self, n_nodes: int, n_communities: int) -> None:
         if self.nodes.size and (self.nodes.min() < 0 or self.nodes.max() >= n_nodes):
             raise ValueError("supervised node id out of range")
-        if self.n_communities != n_communities:
-            raise ValueError(
-                f"supervision targets have {self.n_communities} columns, expected {n_communities}"
-            )
+        if self.classes > n_communities:
+            raise ValueError(f"supervision labels need {self.classes} communities, "
+                             f"got {n_communities}")
 
 
 # -- energies ---------------------------------------------------------------
@@ -440,7 +416,7 @@ def ssl_energy(graph: SparseGraph, u, gamma: float, supervision: Supervision) ->
     """
     u = _as_column_matrix(u)
     supervision.check_against(graph.n_nodes, u.shape[1])
-    resid = u[supervision.nodes] - supervision.targets
+    resid = u[supervision.nodes] - supervision.targets(u.shape[1])
     return balanced_tv(graph, u, gamma) + supervision.weight * float(
         np.einsum("ij,ij->", resid, resid)
     )

@@ -29,8 +29,9 @@ def load_edge_list(path) -> SparseGraph:
     """Parse an edge-list file into a validated :class:`SparseGraph` whose
     node count is the largest index + 1.
 
-    Malformed lines, negative or non-finite weights and a weight that makes
-    the total overflow are reported with their 1-based line number.
+    Malformed lines, node indices outside [0, 2^63 - 1), negative or
+    non-finite weights and a weight that makes the total overflow are
+    reported with their 1-based line number.
     """
     rows, cols, weights = [], [], []
     total = 0.0
@@ -52,6 +53,8 @@ def load_edge_list(path) -> SparseGraph:
                 ) from None
             if i < 0 or j < 0:
                 raise ValueError(f"{path}: line {lineno}: negative node index")
+            if max(i, j) >= np.iinfo(np.int64).max:  # the node count must fit int64
+                raise ValueError(f"{path}: line {lineno}: node index {max(i, j)} too large")
             if not 0 <= w < np.inf:
                 raise ValueError(f"{path}: line {lineno}: weight {w} is not a "
                                  "finite nonnegative number")
@@ -90,8 +93,9 @@ def load_labels(path) -> np.ndarray:
 
 def load_label_pairs(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a ``node,label`` CSV (header required) covering any subset of
-    nodes, each at most once; used as is for supervision files.  Returns
-    (nodes, labels) in file order."""
+    nodes, each at most once; used as is for supervision files.  Entries
+    outside [0, 2^63) are reported with their line.  Returns (nodes, labels)
+    in file order."""
     line_of, labels = {}, []  # node -> its line, in file order
     with open(path) as fh:
         header = fh.readline()
@@ -110,6 +114,8 @@ def load_label_pairs(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(f"{path}: line {lineno}: non-integer entry") from None
             if node < 0 or label < 0:
                 raise ValueError(f"{path}: line {lineno}: negative entry")
+            if max(node, label) > np.iinfo(np.int64).max:
+                raise ValueError(f"{path}: line {lineno}: entry {max(node, label)} too large")
             if node in line_of:
                 raise ValueError(f"{path}: line {lineno}: node {node} already "
                                  f"labeled on line {line_of[node]}")

@@ -22,7 +22,6 @@ from .graph import (
     balanced_tv,
     labels_to_matrix,
     modularity,
-    validate_partition_matrix,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "diffuse",
     "fidelity_step",
     "threshold",
-    "random_partition_matrix",
     "mbo_run",
 ]
 
@@ -143,8 +141,8 @@ def fidelity_step(u: np.ndarray, supervision: Supervision, dt: float) -> np.ndar
     supervision.check_against(u.shape[0], u.shape[1])
     out = u.copy()
     decay = np.exp(-2.0 * supervision.weight * dt)
-    rows = supervision.nodes
-    out[rows] = supervision.targets + (u[rows] - supervision.targets) * decay
+    rows, targets = supervision.nodes, supervision.targets(u.shape[1])
+    out[rows] = targets + (u[rows] - targets) * decay
     return out
 
 
@@ -166,16 +164,10 @@ def _threshold_with_labels(u):
     return out, labels
 
 
-def random_partition_matrix(n_nodes: int, nhat: int, rng: np.random.Generator) -> np.ndarray:
-    """Independent uniform one-hot rows."""
-    return labels_to_matrix(rng.integers(0, nhat, size=n_nodes), nhat)
-
-
-def _sweep_to_fixed_point(basis, u, dt, supervision, max_iters, history):
-    """Threshold dynamics until the partition repeats; returns
-    (u, labels, iterations, converged) and, when ``history`` is a list,
-    appends each iterate's labels to it."""
-    labels = np.argmax(u, axis=1)
+def _sweep_to_fixed_point(basis, u, labels, dt, supervision, max_iters, history):
+    """Threshold dynamics from the one-hot ``u`` of ``labels`` until the
+    partition repeats; returns (u, labels, iterations, converged) and, when
+    ``history`` is a list, appends each iterate's labels to it."""
     for iteration in range(1, max_iters + 1):
         u_half = diffuse(basis, u, dt)
         if supervision is not None:
@@ -194,8 +186,8 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
             init: np.ndarray | None = None) -> MboResult:
     """Run the threshold-dynamics iteration to a fixed point.
 
-    Starts from ``init`` (a one-hot matrix) or from seeded random one-hot
-    rows, iterates diffuse / fidelity / threshold until the thresholded
+    Starts from ``init`` (a label vector) or from seeded uniform random
+    labels, iterates diffuse / fidelity / threshold until the thresholded
     partition repeats, then optionally refines from that fixed point with
     ``dt * REFINE_FACTOR`` until stationary again.  Hitting ``max_iters`` in
     a phase is reported via ``converged=False``, not an error.  Identical
@@ -205,32 +197,30 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
         raise ValueError("basis was computed for a different graph size")
     if supervision is not None:
         supervision.check_against(graph.n_nodes, config.nhat)
-    rng = np.random.default_rng(config.seed)
     if init is None:
-        u = random_partition_matrix(graph.n_nodes, config.nhat, rng)
+        rng = np.random.default_rng(config.seed)
+        labels = rng.integers(0, config.nhat, size=graph.n_nodes)
         if supervision is not None:
             # known labels are known at time zero; starting them anywhere
             # else only injects seed-dependent transients
-            u[supervision.nodes] = supervision.targets
+            labels[supervision.nodes] = supervision.labels
     else:
-        u = np.asarray(init, dtype=np.float64)
-        if u.shape != (graph.n_nodes, config.nhat):
-            raise ValueError(
-                f"init has shape {u.shape}, expected {(graph.n_nodes, config.nhat)}"
-            )
-        try:
-            validate_partition_matrix(u)
-        except ValueError as exc:
-            raise ValueError(f"init: {exc}") from None
+        labels = np.asarray(init)
+        if labels.shape != (graph.n_nodes,) or labels.dtype.kind not in "iu":
+            raise ValueError(f"init: expected {graph.n_nodes} integer labels, "
+                             f"got shape {labels.shape} of {labels.dtype}")
+        if np.any((labels < 0) | (labels >= config.nhat)):
+            raise ValueError(f"init: labels must lie in [0, {config.nhat})")
+    u = labels_to_matrix(labels, config.nhat)
     dt = select_timestep(basis, graph, config)
 
     history = [] if config.trace else None
     u, labels, iters, converged = _sweep_to_fixed_point(
-        basis, u, dt, supervision, config.max_iters, history
+        basis, u, labels, dt, supervision, config.max_iters, history
     )
     if config.refine and converged:
         _, labels, extra, converged = _sweep_to_fixed_point(
-            basis, u, dt * REFINE_FACTOR, supervision, config.max_iters, history
+            basis, u, labels, dt * REFINE_FACTOR, supervision, config.max_iters, history
         )
         iters += extra
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .eigen import DiffusionOperator, EigenBasis, smallest_eigenpairs
-from .graph import SparseGraph, Supervision, labels_to_matrix, modularity
+from .graph import SparseGraph, Supervision, modularity
 from .mbo import DT_CAP_FACTOR, MboConfig, MboResult, mbo_run, select_timestep, timestep_bounds
 
 __all__ = ["kmeans_init", "sweep_nhat", "recursive_partition"]
@@ -79,7 +79,7 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def kmeans_init(basis: EigenBasis, nhat: int, seed: int = 0) -> np.ndarray:
-    """One-hot initialization from k-means on the nhat leading eigenvectors."""
+    """Initial labels from k-means on the nhat leading eigenvectors."""
     if nhat < 1:
         raise ValueError("nhat must be at least 1")
     if basis.n_eig < nhat:
@@ -87,8 +87,7 @@ def kmeans_init(basis: EigenBasis, nhat: int, seed: int = 0) -> np.ndarray:
             f"basis holds {basis.n_eig} eigenvectors, need at least {nhat}"
         )
     rng = np.random.default_rng(seed)
-    labels = _kmeans_labels(basis.eigenvectors[:, :nhat], nhat, rng)
-    return labels_to_matrix(labels, nhat)
+    return _kmeans_labels(basis.eigenvectors[:, :nhat], nhat, rng)
 
 
 def _sweep_timesteps(graph: SparseGraph, basis: EigenBasis,
@@ -126,11 +125,9 @@ def sweep_nhat(graph: SparseGraph, nhats, config: MboConfig,
     if nhats[0] < 1:
         raise ValueError("community counts must be at least 1")
     if supervision is not None:
-        sup_labels = np.argmax(supervision.targets, axis=1)
-        classes = int(sup_labels.max(initial=-1)) + 1
-        nhats = [nhat for nhat in nhats if nhat >= classes]
+        nhats = [nhat for nhat in nhats if nhat >= supervision.classes]
         if not nhats:
-            raise ValueError(f"--sweep: every count is below the {classes} "
+            raise ValueError(f"--sweep: every count is below the {supervision.classes} "
                              "classes of --supervision")
     if basis is None:
         n_eig = min(5 * nhats[-1], graph.n_nodes)
@@ -140,14 +137,9 @@ def sweep_nhat(graph: SparseGraph, nhats, config: MboConfig,
     timesteps = _sweep_timesteps(graph, basis, config)
     best = None
     for nhat in nhats:
-        sup = None
-        if supervision is not None:
-            sup = Supervision.from_labels(
-                supervision.nodes, sup_labels, nhat, supervision.weight
-            )
         for dt in timesteps:
             run_config = replace(config, nhat=nhat, dt=dt)
-            result = mbo_run(graph, basis, run_config, supervision=sup)
+            result = mbo_run(graph, basis, run_config, supervision=supervision)
             if best is None or result.modularity > best.modularity:
                 best = result
     return best

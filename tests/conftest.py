@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from balancedtv import SparseGraph
+from balancedtv import SparseGraph, labels_to_matrix
 
 
 def random_graph(rng, n, density=0.4, connected=True, w_low=0.2, w_high=2.0):
@@ -30,6 +30,11 @@ def random_graph(rng, n, density=0.4, connected=True, w_low=0.2, w_high=2.0):
 
 def random_labels(rng, n, nhat):
     return rng.integers(0, nhat, size=n).astype(np.int64)
+
+
+def random_one_hot(rng, n, nhat):
+    """One-hot N x nhat matrix of uniform random labels."""
+    return labels_to_matrix(random_labels(rng, n, nhat), nhat)
 
 
 def dense_modularity(graph, labels, gamma):

@@ -31,14 +31,13 @@ from balancedtv import (
     modularity,
     planted_partition,
     purity,
-    random_partition_matrix,
     recursive_partition,
     smallest_eigenpairs,
     sweep_nhat,
     threshold,
     two_moons,
 )
-from conftest import random_graph
+from conftest import random_graph, random_one_hot
 
 
 def report(number, ok, detail):
@@ -96,7 +95,7 @@ def test_criterion_2_supervision_consistency(moons_pipeline):
     basis = moons_pipeline["basis"]
     rng = np.random.default_rng(0)
     supervised = rng.choice(graph.n_nodes, size=graph.n_nodes // 10, replace=False)
-    sup = Supervision.from_labels(supervised, truth[supervised], 2, weight=100.0)
+    sup = Supervision(supervised, truth[supervised], weight=100.0)
     results = [
         mbo_run(graph, basis, MboConfig(gamma=gamma, nhat=2, seed=seed), supervision=sup)
         for seed in range(20)
@@ -152,7 +151,7 @@ def test_criterion_4_freezing_bounds():
         gamma = rng.uniform(0.2, 3.0)
         op = DiffusionOperator(graph, gamma)
         dense = op.to_dense()
-        u0 = random_partition_matrix(n, 2, rng)
+        u0 = random_one_hot(rng, n, 2)
 
         tau = 0.99 * np.log(2.0) / (2.0 * (gamma + 1.0) * graph.degrees.max())
         moved = threshold(scipy.linalg.expm(-tau * dense) @ u0)
@@ -182,7 +181,7 @@ def test_criterion_5_decay_and_growth_bounds():
         lam1 = np.linalg.eigvalsh(dense)[0]
         m_inf = np.abs(dense).sum(axis=1).max()
         nhat = int(rng.integers(2, 5))
-        u0 = random_partition_matrix(n, nhat, rng)
+        u0 = random_one_hot(rng, n, nhat)
         for tau in (0.1, 1.0, 10.0):
             flowed = scipy.linalg.expm(-tau * dense) @ u0
             decay_gap = np.linalg.norm(flowed) - np.exp(-tau * lam1) * np.linalg.norm(u0)
@@ -208,7 +207,7 @@ def test_criterion_6_pseudospectral_exactness():
         gamma = rng.uniform(0.2, 3.0)
         op = DiffusionOperator(graph, gamma)
         basis = smallest_eigenpairs(op, n)
-        u = random_partition_matrix(n, int(rng.integers(2, 5)), rng)
+        u = random_one_hot(rng, n, int(rng.integers(2, 5)))
         dt = rng.uniform(0.01, 2.0)
         exact = scipy.linalg.expm(-dt * op.to_dense()) @ u
         worst = max(worst, np.abs(diffuse(basis, u, dt) - exact).max())

@@ -186,6 +186,16 @@ class TestFileFormats:
         w = load_edge_list(path).adjacency.toarray()
         assert w[0, 1] == w[1, 0] == pytest.approx(1.2)
 
+    @pytest.mark.parametrize("line", [
+        f"0 {2**63 - 1} 1.0", f"{2**63} 0 1.0", f"0 {10**30} 1.0",
+    ])
+    def test_node_index_beyond_int64_names_line(self, tmp_path, line):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1 1.0\n{line}\n")
+        with pytest.raises(ValueError, match="line 2: node index .* too large") as exc:
+            load_edge_list(path)
+        assert str(path) in str(exc.value)
+
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1 1.0\n0 2\n")
@@ -220,6 +230,8 @@ class TestFileFormats:
         ("0,1\n1,0\n0,1\n", "line 4"),
         ("0,1\n-1,0\n", "line 3"),
         ("0,1\n1,-2\n", "line 3"),
+        (f"0,1\n{2**63},0\n", "line 3: entry .* too large"),
+        (f"0,1\n1,{2**64}\n", "line 3: entry .* too large"),
     ])
     def test_label_file_errors_name_line(self, tmp_path, loader, rows, where):
         path = tmp_path / "labels.csv"
@@ -227,6 +239,12 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=where) as exc:
             loader(path)
         assert str(path) in str(exc.value)
+
+    def test_label_pairs_accept_the_largest_int64(self, tmp_path):
+        path = tmp_path / "sup.csv"
+        path.write_text(f"node,label\n{2**63 - 1},{2**63 - 1}\n")
+        nodes, labels = load_label_pairs(path)
+        assert nodes[0] == labels[0] == 2**63 - 1
 
     def test_labels_must_cover_every_node(self, tmp_path):
         path = tmp_path / "labels.csv"

@@ -102,6 +102,15 @@ class TestParseArgs:
             ])
         assert "--supervision" in capsys.readouterr().err
 
+    def test_trace_with_recursive_rejected(self, tmp_path, capsys):
+        edges = write_cliques(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["partition", "--edges", str(edges), "--recursive", "--trace",
+                        "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--trace" in err and "--recursive" in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--split-factor", "1"), ("--min-size", "1"), ("--gain-tol", "-1"),
         ("--gain-tol", "nan"),
@@ -295,8 +304,9 @@ class TestEndToEnd:
         out = tmp_path / "many"
         assert main(["partition", "--edges", str(edges), *strategy,
                      "--repeat", "5", "--out", str(out), "--trace"]) == 0
-        runs_per_seed = len(traced) // 6  # five untraced repeats, one traced rerun
-        assert traced == [False] * 5 * runs_per_seed + [True] * runs_per_seed
+        # five untraced repeats, then one traced rerun of the kept run only
+        assert traced == [False] * (len(traced) - 1) + [True]
+        assert (len(traced) - 1) % 5 == 0
         batch = np.loadtxt(f"{out}_batch.csv", delimiter=",", skiprows=1, usecols=(0, 1))
         best_seed = int(batch[np.argmax(batch[:, 1]), 0])
         single = tmp_path / "single"
@@ -396,6 +406,19 @@ class TestEndToEnd:
         captured = capsys.readouterr()
         assert captured.out == ""  # the batch is read before anything is printed
         assert f"{batch}: {where}" in captured.err
+
+    @pytest.mark.parametrize("flag,name,content", [
+        ("--edges", "g.txt", f"0 1 1.0\n1 2 1.0\n2 {2**63 - 1} 1.0\n"),
+        ("--supervision", "sup.csv", f"node,label\n0,0\n{2**63},1\n"),
+    ])
+    def test_id_beyond_int64_is_an_error_line(self, tmp_path, capsys, flag, name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        source = [] if flag == "--edges" else ["--edges", str(write_cliques(tmp_path))]
+        code = main(["partition", *source, flag, str(path), "--nhat", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: {path}: line 3: " in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

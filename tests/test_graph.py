@@ -12,10 +12,8 @@ from balancedtv import (
     gl_energy,
     graph_tv,
     labels_to_matrix,
-    matrix_to_labels,
     modularity,
     ssl_energy,
-    validate_partition_matrix,
     volume,
 )
 from conftest import complete_graph, dense_modularity, path_graph, random_graph, random_labels
@@ -111,13 +109,8 @@ class TestPartitionViews:
     def test_round_trip(self, rng):
         labels = random_labels(rng, 25, 4)
         u = labels_to_matrix(labels, 4)
-        assert np.array_equal(matrix_to_labels(u), labels)
-
-    def test_validate_rejects_soft_rows(self):
-        with pytest.raises(ValueError):
-            validate_partition_matrix(np.array([[0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            validate_partition_matrix(np.array([[1.0, 1.0]]))
+        assert np.array_equal(u.sum(axis=1), np.ones(25))
+        assert np.array_equal(np.argmax(u, axis=1), labels)
 
 
 class TestCutVolume:
@@ -300,7 +293,7 @@ class TestSupervisedEnergy:
     def test_zero_weight_reduces_to_balanced_tv(self, rng):
         g = random_graph(rng, 6)
         u = labels_to_matrix(random_labels(rng, 6, 2), 2)
-        sup = Supervision.from_labels([0, 3], [1, 0], 2, weight=0.0)
+        sup = Supervision([0, 3], [1, 0], weight=0.0)
         assert ssl_energy(g, u, 0.9, sup) == pytest.approx(
             balanced_tv(g, u, 0.9), rel=1e-12
         )
@@ -309,7 +302,7 @@ class TestSupervisedEnergy:
         g = random_graph(rng, 6)
         labels = random_labels(rng, 6, 2)
         u = labels_to_matrix(labels, 2)
-        sup = Supervision.from_labels([1, 4], labels[[1, 4]], 2, weight=5.0)
+        sup = Supervision([1, 4], labels[[1, 4]], weight=5.0)
         assert ssl_energy(g, u, 0.9, sup) == pytest.approx(
             balanced_tv(g, u, 0.9), rel=1e-12
         )
@@ -317,17 +310,34 @@ class TestSupervisedEnergy:
     def test_single_entry_residual(self):
         # supervised row differs from its target by 0.5 in one entry
         u = np.array([[0.5, 0.0], [0.0, 1.0]])
-        sup = Supervision.from_labels([0], [0], 2, weight=2.0)
+        sup = Supervision([0], [0], weight=2.0)
         fidelity = ssl_energy(TWO_NODE, u, 1.0, sup) - balanced_tv(TWO_NODE, u, 1.0)
         assert fidelity == pytest.approx(0.5, rel=1e-12)
 
     def test_mask_out_of_range(self):
-        sup = Supervision.from_labels([5], [0], 2, weight=1.0)
+        sup = Supervision([5], [0], weight=1.0)
         with pytest.raises(ValueError, match="out of range"):
             ssl_energy(TWO_NODE, np.eye(2), 1.0, sup)
 
     def test_supervision_validation(self):
         with pytest.raises(ValueError, match="unique"):
-            Supervision.from_labels([1, 1], [0, 1], 2, weight=1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            Supervision.from_labels([0], [1], 2, weight=-1.0)
+            Supervision([1, 1], [0, 1], weight=1.0)
+        with pytest.raises(ValueError, match="weight must be nonnegative"):
+            Supervision([0], [1], weight=-1.0)
+        with pytest.raises(ValueError, match="labels must be nonnegative"):
+            Supervision([0, 1], [0, -1], weight=1.0)
+        with pytest.raises(ValueError, match="one label per supervised node"):
+            Supervision([0, 1], [0], weight=1.0)
+        with pytest.raises(ValueError, match="one label per supervised node"):
+            Supervision([0], [0, 1], weight=1.0)
+
+    def test_classes_and_targets(self):
+        sup = Supervision([4, 0, 2], [2, 0, 0], weight=1.0)
+        assert sup.classes == 3
+        assert np.array_equal(sup.targets(4), [[0, 0, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+        assert Supervision([], [], weight=1.0).classes == 0
+
+    def test_more_classes_than_columns(self):
+        sup = Supervision([0, 1], [0, 2], weight=1.0)
+        with pytest.raises(ValueError, match="need 3 communities, got 2"):
+            ssl_energy(TWO_NODE, np.eye(2), 1.0, sup)

@@ -2,8 +2,9 @@
 
 Any input either loads or fails with a ValueError whose message starts with
 the file name and then names the offending line or the header.  Node ids
-stay at or below MAX_ID: the edge-list loader sizes the graph by the largest
-id, so a huge id asks for a huge allocation rather than failing to parse.
+stay at or below MAX_ID or are at least 2^63 - 1, which the edge-list loader
+rejects: it sizes the graph by the largest id, so an id in between asks for
+a huge allocation rather than failing to parse.
 """
 
 import re
@@ -21,7 +22,8 @@ FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None
 # short tokens over the characters the formats use; four characters spell no
 # integer above MAX_ID
 junk = st.text(alphabet="0123456789-+.eEinfaINF#x_ \t", max_size=4)
-ids = st.one_of(st.integers(-2, MAX_ID).map(str), junk)
+ids = st.one_of(st.integers(-2, MAX_ID).map(str),
+                st.integers(2**63 - 1, 2**64).map(str), junk)
 numbers = st.one_of(st.floats().map(repr), st.integers(-3, 3).map(str), junk)
 blank = st.sampled_from(["", "   ", "# comment"])
 

@@ -15,13 +15,12 @@ from balancedtv import (
     fidelity_step,
     mbo_run,
     modularity,
-    random_partition_matrix,
     select_timestep,
     smallest_eigenpairs,
     threshold,
 )
 from balancedtv.mbo import DT_CAP_FACTOR
-from conftest import random_graph, two_cliques
+from conftest import random_graph, random_labels, random_one_hot, two_cliques
 
 TWO_NODE = SparseGraph.from_dense([[0.0, 1.0], [1.0, 0.0]])
 
@@ -93,7 +92,7 @@ class TestDiffuse:
     def test_dt_to_zero_is_identity(self, rng):
         g = random_graph(rng, 12)
         basis = full_basis(g, 1.0)
-        u = random_partition_matrix(12, 3, rng)
+        u = random_one_hot(rng, 12, 3)
         assert np.allclose(diffuse(basis, u, 1e-14), u, atol=1e-12)
 
     def test_full_basis_matches_exponential_oracle(self, rng):
@@ -103,7 +102,7 @@ class TestDiffuse:
             gamma = rng.uniform(0.3, 2.0)
             op = DiffusionOperator(g, gamma)
             basis = full_basis(g, gamma)
-            u = random_partition_matrix(n, 3, rng)
+            u = random_one_hot(rng, n, 3)
             for t in (0.01, 0.3, 1.5):
                 assert np.allclose(
                     diffuse(basis, u, t), exact_flow(op, u, t), atol=1e-8
@@ -113,7 +112,7 @@ class TestDiffuse:
         g = random_graph(rng, 20)
         op = DiffusionOperator(g, 1.0)
         basis = smallest_eigenpairs(op, 5)
-        u = random_partition_matrix(20, 2, rng)
+        u = random_one_hot(rng, 20, 2)
         v = basis.eigenvectors
         projected_flow = v @ (v.T @ exact_flow(op, u, 0.7))
         assert np.allclose(diffuse(basis, u, 0.7), projected_flow, atol=1e-8)
@@ -132,19 +131,19 @@ class TestDiffuse:
 class TestFidelityStep:
     def test_zero_weight_noop(self, rng):
         u = rng.random((6, 2))
-        sup = Supervision.from_labels([0, 3], [1, 0], 2, weight=0.0)
+        sup = Supervision([0, 3], [1, 0], weight=0.0)
         assert np.array_equal(fidelity_step(u, sup, 0.5), u)
 
     def test_infinite_strength_pins_targets(self, rng):
         u = rng.random((6, 2))
-        sup = Supervision.from_labels([1, 4], [0, 1], 2, weight=1e6)
+        sup = Supervision([1, 4], [0, 1], weight=1e6)
         out = fidelity_step(u, sup, 1.0)
-        assert np.allclose(out[[1, 4]], sup.targets)
+        assert np.allclose(out[[1, 4]], sup.targets(2))
 
     def test_closed_form_residual(self):
         # residual of 1 in a supervised entry decays to e^{-2 lambda dt}
         u = np.array([[2.0, 0.0], [0.3, 0.3]])
-        sup = Supervision.from_labels([0], [0], 2, weight=1.0)
+        sup = Supervision([0], [0], weight=1.0)
         out = fidelity_step(u, sup, 0.5)
         assert out[0, 0] == pytest.approx(1.0 + np.exp(-1.0))
         assert np.array_equal(out[1], u[1])
@@ -184,7 +183,7 @@ class TestFreezingBounds:
             gamma = rng.uniform(0.2, 3.0)
             op = DiffusionOperator(g, gamma)
             tau = 0.99 * np.log(2.0) / (2.0 * (gamma + 1.0) * g.degrees.max())
-            u0 = random_partition_matrix(n, 2, rng)
+            u0 = random_one_hot(rng, n, 2)
             assert self._frozen(op, u0, tau)
 
     def test_spectral_bound(self, rng):
@@ -195,7 +194,7 @@ class TestFreezingBounds:
             op = DiffusionOperator(g, gamma)
             rho = np.linalg.eigvalsh(op.to_dense())[-1]
             tau = 0.99 / rho * np.log(1.0 + n ** -0.5)
-            u0 = random_partition_matrix(n, 2, rng)
+            u0 = random_one_hot(rng, n, 2)
             assert self._frozen(op, u0, tau)
 
 
@@ -206,7 +205,7 @@ class TestDecayAndGrowthBounds:
             g = random_graph(rng, n)
             op = DiffusionOperator(g, rng.uniform(0.3, 2.0))
             lam1 = np.linalg.eigvalsh(op.to_dense())[0]
-            u0 = random_partition_matrix(n, 3, rng)
+            u0 = random_one_hot(rng, n, 3)
             for tau in (0.1, 1.0, 10.0):
                 lhs = np.linalg.norm(exact_flow(op, u0, tau))
                 rhs = np.exp(-tau * lam1) * np.linalg.norm(u0)
@@ -218,7 +217,7 @@ class TestDecayAndGrowthBounds:
             g = random_graph(rng, n)
             op = DiffusionOperator(g, rng.uniform(0.3, 2.0))
             m_inf = np.abs(op.to_dense()).sum(axis=1).max()
-            u0 = random_partition_matrix(n, 3, rng)
+            u0 = random_one_hot(rng, n, 3)
             for tau in (0.1, 1.0, 10.0):
                 lhs = np.abs(exact_flow(op, u0, tau) - u0).max()
                 with np.errstate(over="ignore"):
@@ -234,11 +233,11 @@ class TestMboRun:
             gamma = 1.0
             basis = full_basis(g, gamma)
             tau = 0.9 * np.log(2.0) / (2.0 * (gamma + 1.0) * g.degrees.max())
-            init = random_partition_matrix(n, 2, rng)
+            init = random_labels(rng, n, 2)
             config = MboConfig(gamma=gamma, nhat=2, dt=tau, refine=False, seed=0)
             result = mbo_run(g, basis, config, init=init)
             assert result.iterations == 1
-            assert np.array_equal(result.labels, np.argmax(init, axis=1))
+            assert np.array_equal(result.labels, init)
 
     def test_separates_disconnected_cliques_at_optimum(self, rng):
         g = two_cliques(5)
@@ -264,22 +263,33 @@ class TestMboRun:
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 10)
         nodes = np.array([0, 5, 9, 13])
         targets = np.array([1, 0, 1, 0])
-        sup = Supervision.from_labels(nodes, targets, 2, weight=1e4)
+        sup = Supervision(nodes, targets, weight=1e4)
         result = mbo_run(g, basis, MboConfig(gamma=1.0, nhat=2, seed=2), supervision=sup)
         assert np.array_equal(result.labels[nodes], targets)
 
     @pytest.mark.parametrize("make_init", [
-        lambda n: np.full((n, 4), 0.25),
-        lambda n: np.eye(4)[np.arange(n) % 4] * 2.0,
-        lambda n: np.vstack([np.eye(4)[np.arange(n - 1) % 4], np.ones(4)]),
-    ], ids=["uniform-rows", "scaled-one-hot", "all-ones-row"])
-    def test_init_must_be_one_hot(self, make_init):
+        lambda n: np.arange(n - 1) % 4,
+        lambda n: np.arange(n + 1) % 4,
+        lambda n: np.eye(4)[np.arange(n) % 4],
+        lambda n: (np.arange(n) % 4).astype(np.float64),
+        lambda n: np.append(np.arange(n - 1) % 4, 4),
+        lambda n: np.append(np.arange(n - 1) % 4, -1),
+    ], ids=["short", "long", "one-hot-matrix", "float", "above-nhat", "negative"])
+    def test_init_must_be_labels_below_nhat(self, make_init):
         from balancedtv import planted_partition
 
         g, _ = planted_partition(1000, 6, 10.0, 1.0, seed=0)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 20)
         with pytest.raises(ValueError, match="^init: "):
             mbo_run(g, basis, MboConfig(gamma=1.0, nhat=4), init=make_init(g.n_nodes))
+
+    def test_supervision_labels_must_fit_nhat(self, rng):
+        g = random_graph(rng, 12)
+        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 5)
+        sup = Supervision([0, 5], [0, 2], weight=1.0)
+        with pytest.raises(ValueError, match="need 3 communities, got 2"):
+            mbo_run(g, basis, MboConfig(gamma=1.0, nhat=2), supervision=sup)
+        assert mbo_run(g, basis, MboConfig(gamma=1.0, nhat=3), supervision=sup).nhat == 3
 
     def test_determinism(self, rng):
         g = random_graph(rng, 30)
@@ -306,7 +316,7 @@ class TestMboRun:
     def test_trace_off_changes_nothing_but_the_traces(self, rng):
         g = random_graph(rng, 40)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 12)
-        sup = Supervision.from_labels([0, 7, 21], [0, 1, 2], 3, weight=10.0)
+        sup = Supervision([0, 7, 21], [0, 1, 2], weight=10.0)
         for seed in range(4):
             for supervision in (None, sup):
                 config = MboConfig(gamma=1.0, nhat=3, seed=seed)
@@ -332,9 +342,9 @@ class TestMboRun:
             g, _ = planted_partition(60, 3, 8.0, 1.0, seed=seed)
             basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 10)
             config = MboConfig(gamma=1.0, nhat=3, seed=seed)
-            init = random_partition_matrix(60, 3, np.random.default_rng(seed))
+            init = random_labels(np.random.default_rng(seed), 60, 3)
             result = mbo_run(g, basis, config, init=init)
-            q0 = modularity(g, np.argmax(init, axis=1), 1.0)
+            q0 = modularity(g, init, 1.0)
             if result.modularity >= q0:
                 improved += 1
         assert improved >= 0.95 * trials

@@ -8,7 +8,6 @@ from balancedtv import (
     MboConfig,
     Supervision,
     kmeans_init,
-    matrix_to_labels,
     mbo_run,
     modularity,
     planted_partition,
@@ -54,8 +53,8 @@ class TestKmeansInit:
     def test_separates_disconnected_cliques(self):
         g = two_cliques(6)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 4)
-        u = kmeans_init(basis, 2, seed=0)
-        labels = matrix_to_labels(u)
+        labels = kmeans_init(basis, 2, seed=0)
+        assert labels.dtype == np.int64 and labels.shape == (12,)
         assert len(set(labels[:6])) == 1
         assert len(set(labels[6:])) == 1
         assert labels[0] != labels[6]
@@ -63,8 +62,7 @@ class TestKmeansInit:
     def test_single_community(self, rng):
         g = random_graph(rng, 10)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 3)
-        u = kmeans_init(basis, 1, seed=0)
-        assert np.all(matrix_to_labels(u) == 0)
+        assert np.array_equal(kmeans_init(basis, 1, seed=0), np.zeros(10))
 
     def test_seed_determinism(self, rng):
         g = random_graph(rng, 30)
@@ -142,7 +140,7 @@ class TestSweep:
     def test_supervision_skips_counts_below_its_classes(self):
         g, truth = planted_partition(80, 4, 10.0, 0.5, seed=1)
         nodes = np.array([np.flatnonzero(truth == b)[0] for b in range(4)])
-        sup = Supervision.from_labels(nodes, truth[nodes], 6, weight=100.0)
+        sup = Supervision(nodes, truth[nodes], weight=100.0)
         config = MboConfig(gamma=1.0, nhat=6, seed=0)
         best = sweep_nhat(g, range(2, 7), config, supervision=sup)
         assert best.nhat >= 4
