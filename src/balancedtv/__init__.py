@@ -1,7 +1,7 @@
 """Community detection on weighted sparse graphs via balanced-TV modularity
 optimization with a pseudospectral diffusion-threshold (MBO) solver."""
 
-from .build import knn_graph, nonlocal_means_features, planted_partition, two_moons
+from .build import knn_graph, planted_partition, two_moons
 from .eigen import (
     DiffusionOperator,
     EigenBasis,

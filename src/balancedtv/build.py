@@ -1,5 +1,7 @@
-"""Graph construction: synthetic benchmarks, k-NN similarity graphs, and
-patch features for hyperspectral-style images.
+"""Graph construction: synthetic benchmarks and self-tuning k-NN similarity
+graphs.  Neighbors come from an exact pairwise search that holds at most
+KNN_BLOCK_BYTES of distances at a time (one row at least), whatever the point
+count or dimension.
 
 All generators are deterministic for a fixed seed.
 """
@@ -14,12 +16,10 @@ from .graph import SparseGraph
 __all__ = [
     "two_moons",
     "knn_graph",
-    "nonlocal_means_features",
     "planted_partition",
 ]
 
-# Exact pairwise search below this point count, k-d tree above.
-BRUTE_FORCE_LIMIT = 20_000
+KNN_BLOCK_BYTES = 2**23  # squared distances held at once by the k-NN search
 
 
 def two_moons(n_points: int, ambient_dim: int, noise_sigma: float = 0.14,
@@ -62,35 +62,25 @@ def _knn_distances(features: np.ndarray, k: int):
     """Distances and indices of the k nearest neighbors of every point,
     self excluded, both arrays shaped (n, k)."""
     n = features.shape[0]
-    if n <= BRUTE_FORCE_LIMIT:
-        dist = np.empty((n, k), dtype=np.float64)
-        idx = np.empty((n, k), dtype=np.int64)
-        sq_norms = np.einsum("ij,ij->i", features, features)
-        chunk = max(1, int(2e7) // max(n, 1))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            block = (
-                sq_norms[start:stop, None]
-                - 2.0 * features[start:stop] @ features.T
-                + sq_norms[None, :]
-            )
-            np.maximum(block, 0.0, out=block)
-            block[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
-            part = np.argpartition(block, k - 1, axis=1)[:, :k]
-            part_d = np.take_along_axis(block, part, axis=1)
-            order = np.argsort(part_d, axis=1, kind="stable")
-            idx[start:stop] = np.take_along_axis(part, order, axis=1)
-            dist[start:stop] = np.sqrt(np.take_along_axis(part_d, order, axis=1))
-        return dist, idx
-    # imported here: scipy.spatial is slow to load and small inputs never need it
-    from scipy.spatial import cKDTree
-    tree = cKDTree(features)
-    dist, idx = tree.query(features, k=k + 1)
-    # with duplicate points self need not come first; drop it wherever it sits
-    keep = idx != np.arange(n)[:, None]
-    rows_without_self = keep.all(axis=1)
-    keep[rows_without_self, -1] = False
-    return dist[keep].reshape(n, k), idx[keep].reshape(n, k).astype(np.int64)
+    dist = np.empty((n, k), dtype=np.float64)
+    idx = np.empty((n, k), dtype=np.int64)
+    sq_norms = np.einsum("ij,ij->i", features, features)
+    chunk = max(1, KNN_BLOCK_BYTES // (8 * n))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        # |x|^2 - 2 x.y + |y|^2, built in place: same floats as the expression
+        block = features[start:stop] @ features.T
+        block *= -2.0
+        block += sq_norms[start:stop, None]
+        block += sq_norms[None, :]
+        np.maximum(block, 0.0, out=block)
+        block[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
+        part = np.argpartition(block, k - 1, axis=1)[:, :k]
+        part_d = np.take_along_axis(block, part, axis=1)
+        order = np.argsort(part_d, axis=1, kind="stable")
+        idx[start:stop] = np.take_along_axis(part, order, axis=1)
+        dist[start:stop] = np.sqrt(np.take_along_axis(part_d, order, axis=1))
+    return dist, idx
 
 
 def knn_graph(features, k: int, scaling_neighbor: int | None = None) -> SparseGraph:
@@ -134,47 +124,7 @@ def knn_graph(features, k: int, scaling_neighbor: int | None = None) -> SparseGr
     w = np.exp(-(dist.ravel() ** 2) / (sigma[rows] * sigma[cols]))
     directed = sp.csr_matrix((w, (rows, cols)), shape=(n, n))
     symmetric = directed.maximum(directed.T)
-    graph = SparseGraph.from_scipy(symmetric)
-    graph.validate()
-    return graph
-
-
-def nonlocal_means_features(cube, window: int) -> np.ndarray:
-    """Per-pixel patch features for an H x W x B image cube.
-
-    Each pixel yields the window x window x B patch around it (replicate
-    padding at the borders), every spatial offset scaled by a Gaussian weight
-    centered on the patch (std = window / 2 in pixels) so the patch center
-    dominates, then the row is normalized to unit Euclidean norm.  Euclidean
-    k-NN on the result reproduces center-weighted cosine k-NN on raw patches.
-    """
-    cube = np.asarray(cube, dtype=np.float64)
-    if cube.ndim != 3 or cube.size == 0:
-        raise ValueError("cube must be a nonempty H x W x B array")
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be odd and positive")
-    height, width, bands = cube.shape
-    half = window // 2
-    padded = np.pad(cube, ((half, half), (half, half), (0, 0)), mode="edge")
-    offsets = np.arange(window) - half
-    dy, dx = np.meshgrid(offsets, offsets, indexing="ij")
-    spatial_std = window / 2.0
-    spatial_weight = np.exp(-(dy**2 + dx**2) / (2.0 * spatial_std**2))
-
-    out = np.empty((height * width, window * window * bands))
-    col = 0
-    for wy in range(window):
-        for wx in range(window):
-            patch = padded[wy:wy + height, wx:wx + width, :]
-            out[:, col:col + bands] = (
-                spatial_weight[wy, wx] * patch.reshape(height * width, bands)
-            )
-            col += bands
-    norms = np.linalg.norm(out, axis=1)
-    if np.any(norms == 0):
-        # all-zero patches stay zero rather than dividing by zero
-        norms = np.where(norms == 0, 1.0, norms)
-    return out / norms[:, None]
+    return SparseGraph.from_scipy(symmetric)
 
 
 def planted_partition(n_nodes: int, n_communities: int, avg_degree_in: float,

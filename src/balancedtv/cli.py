@@ -28,12 +28,19 @@ from .partition import recursive_partition, sweep_nhat
 __all__ = ["RunSpec", "parse_args", "run", "main"]
 
 BATCH_HEADER = "seed,modularity,classification,wall_time_ms"
-# flags only --recursive reads: (flag, attribute, default, least valid value)
-RECURSIVE_FLAGS = (
-    ("--split-factor", "split_factor", 2, 2),
-    ("--min-size", "min_size", 4, 2),
-    ("--gain-tol", "gain_tol", 1e-10, 0),
-)
+# flags read only when another option is given, per command:
+# (flag, attribute, default, the enabling option's attribute, least valid value)
+DEPENDENT_FLAGS = {
+    "partition": (
+        ("--knn", "knn", 13, "features", None),
+        ("--scaling-neighbor", "scaling_neighbor", None, "features", None),
+        ("--supervision-weight", "supervision_weight", 100.0, "supervision", None),
+        ("--split-factor", "split_factor", 2, "recursive", 2),
+        ("--min-size", "min_size", 4, "recursive", 2),
+        ("--gain-tol", "gain_tol", 1e-10, "recursive", 0),
+    ),
+    "metrics": (("--tol", "tol", 0.02, "batch", None),),
+}
 
 
 @dataclass
@@ -81,8 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     source = part.add_mutually_exclusive_group(required=True)
     source.add_argument("--edges", help="edge-list input file")
     source.add_argument("--features", help="feature CSV input file")
-    part.add_argument("--knn", type=int, default=13, metavar="K")
-    part.add_argument("--scaling-neighbor", type=int, metavar="S")
+    part.add_argument("--knn", type=int, metavar="K", help="default 13; only with --features")
+    part.add_argument("--scaling-neighbor", type=int, metavar="S",
+                      help="self-tuning scale neighbor (default K); only with --features")
     part.add_argument("--gamma", type=float, default=1.0)
     strat = part.add_mutually_exclusive_group(required=True)
     strat.add_argument("--nhat", type=int, help="fixed community count")
@@ -103,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     part.add_argument("--seed", type=int, default=0)
     part.add_argument("--repeat", type=int, default=1)
     part.add_argument("--supervision", help="CSV node,label of known labels")
-    part.add_argument("--supervision-weight", type=float, default=100.0)
+    part.add_argument("--supervision-weight", type=float,
+                      help="default 100; only with --supervision")
     part.add_argument("--truth", help="ground-truth CSV for scoring")
     part.add_argument("--out", required=True, metavar="PREFIX")
     part.add_argument("--trace", action="store_true",
@@ -114,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     met.add_argument("--pred", required=True)
     met.add_argument("--truth", required=True)
     met.add_argument("--batch", help="batch CSV from a partition run")
-    met.add_argument("--tol", type=float, default=0.02)
+    met.add_argument("--tol", type=float, help="default 0.02; only with --batch")
     return parser
 
 
@@ -134,17 +143,18 @@ def parse_args(argv) -> RunSpec:
     if getattr(options, "repeat", 1) < 1:
         parser.error("--repeat: must be at least 1")
 
+    for flag, attr, default, needs, least in DEPENDENT_FLAGS.get(options.command, ()):
+        value = getattr(options, attr)
+        if not getattr(options, needs):
+            if value is not None:
+                parser.error(f"{flag}: only used with --{needs}")
+        elif value is None:
+            setattr(options, attr, default)
+        elif least is not None and not value >= least:
+            parser.error(f"{flag}: must be at least {least}")
+
     spec = RunSpec(command=options.command, options=options)
     if options.command == "partition":
-        for flag, attr, default, least in RECURSIVE_FLAGS:
-            value = getattr(options, attr)
-            if not options.recursive:
-                if value is not None:
-                    parser.error(f"{flag}: only used with --recursive")
-            elif value is None:
-                setattr(options, attr, default)
-            elif not value >= least:
-                parser.error(f"{flag}: must be at least {least}")
         if options.neig is not None and options.neig < 1:
             parser.error("--neig: must be at least 1")
         if options.recursive:

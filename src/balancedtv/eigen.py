@@ -34,6 +34,8 @@ DENSE_ORACLE_LIMIT = 2000
 # basis the dense solve stays faster up to roughly 400 nodes, but its n x n
 # temporaries then raise peak memory, so the limit sits lower
 DENSE_SOLVE_LIMIT = 256
+RESIDUAL_TOL = 1e-6  # largest ||M v - lambda v|| EigenBasis.validate accepts
+ORTHO_TOL = 1e-8  # largest |V^T V - I| entry it accepts
 
 
 @dataclass(frozen=True)
@@ -120,19 +122,18 @@ class EigenBasis:
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
 
-    def validate(self, op: DiffusionOperator, residual_tol: float = 1e-6,
-                 ortho_tol: float = 1e-8) -> None:
+    def validate(self, op: DiffusionOperator) -> None:
         """Check orthonormality and per-pair residuals against the operator."""
         v = self.eigenvectors
         gram_err = np.abs(v.T @ v - np.eye(self.n_eig)).max()
-        if gram_err > ortho_tol:
+        if gram_err > ORTHO_TOL:
             raise ValueError(f"eigenvector columns not orthonormal (max err {gram_err:.3e})")
         resid = op.apply(v) - v * self.eigenvalues[None, :]
         resid_norms = np.linalg.norm(resid, axis=0)
         worst = float(resid_norms.max())
-        if worst > residual_tol:
+        if worst > RESIDUAL_TOL:
             raise ValueError(
-                f"eigenpair residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
+                f"eigenpair residual {worst:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}"
             )
 
 

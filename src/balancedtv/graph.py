@@ -34,6 +34,8 @@ __all__ = [
     "ssl_energy",
 ]
 
+VALIDATE_RTOL = 1e-12  # relative slack SparseGraph.validate allows cached sums
+
 
 @dataclass(frozen=True)
 class SparseGraph:
@@ -166,7 +168,7 @@ class SparseGraph:
         w.sort_indices()
         return SparseGraph._from_canonical_csr(w)
 
-    def validate(self, rtol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Recheck all structural invariants; raises ValueError on failure."""
         w = self._adjacency
         if w.nnz and w.data.min() < 0:
@@ -177,10 +179,10 @@ class SparseGraph:
             raise ValueError("stored matrix is not symmetric")
         row_sums = np.asarray(w.sum(axis=1)).ravel()
         scale = max(1.0, float(np.abs(row_sums).max(initial=0.0)))
-        if np.max(np.abs(row_sums - self.degrees), initial=0.0) > rtol * scale:
+        if np.max(np.abs(row_sums - self.degrees), initial=0.0) > VALIDATE_RTOL * scale:
             raise ValueError("cached degrees disagree with row sums")
         total = float(self.degrees.sum())
-        if abs(total - self.total_weight) > rtol * max(1.0, abs(total)):
+        if abs(total - self.total_weight) > VALIDATE_RTOL * max(1.0, abs(total)):
             raise ValueError("cached total weight disagrees with degree sum")
 
 

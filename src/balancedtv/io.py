@@ -26,15 +26,16 @@ WEIGHT_SUM_LIMIT = np.finfo(np.float64).max / 4  # keeps every degree and 2m fin
 
 
 def load_edge_list(path) -> SparseGraph:
-    """Parse an edge-list file into a validated :class:`SparseGraph` whose
-    node count is the largest index + 1.
+    """Parse an edge-list file into a :class:`SparseGraph` whose node count
+    is the largest index + 1.
 
     Malformed lines, node indices outside [0, 2^63 - 1), negative or
     non-finite weights and a weight that makes the total overflow are
-    reported with their 1-based line number.
+    reported with their 1-based line number, as is the largest index when
+    the graph it sizes does not fit in memory.
     """
     rows, cols, weights = [], [], []
-    total = 0.0
+    total, n_nodes, top_line = 0.0, 0, 0  # top_line: where the largest index is
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -61,13 +62,16 @@ def load_edge_list(path) -> SparseGraph:
             total += w
             if total > WEIGHT_SUM_LIMIT:
                 raise ValueError(f"{path}: line {lineno}: total edge weight overflows")
+            if max(i, j) >= n_nodes:
+                n_nodes, top_line = max(i, j) + 1, lineno
             rows.append(i)
             cols.append(j)
             weights.append(w)
-    n_nodes = max(max(rows, default=-1), max(cols, default=-1)) + 1
-    graph = SparseGraph.from_coo(n_nodes, rows, cols, weights, symmetrize=True)
-    graph.validate()
-    return graph
+    try:
+        return SparseGraph.from_coo(n_nodes, rows, cols, weights, symmetrize=True)
+    except MemoryError:
+        raise ValueError(f"{path}: line {top_line}: node index {n_nodes - 1} asks "
+                         f"for a {n_nodes}-node graph, too large for memory") from None
 
 
 def save_edge_list(path, graph: SparseGraph) -> None:

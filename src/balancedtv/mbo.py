@@ -5,8 +5,8 @@ exp(-dt*M) restricted to the retained eigenbasis, an exact pointwise
 relaxation toward supervised targets when a fidelity term is present, and a
 row-wise threshold back to one-hot assignments.  The timestep is picked
 automatically as the geometric mean of a freezing lower bound and a spectral
-decay upper bound, and an optional refinement phase continues from the fixed
-point with a smaller timestep.
+decay upper bound, and a refinement phase continues from the fixed point with
+a smaller timestep.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ class MboConfig:
     """Run parameters for one MBO solve.
 
     The eigenbasis passed to ``mbo_run`` fixes how many eigenpairs are used.
-    ``dt`` overrides the automatic timestep when set; ``refine`` continues
-    from the first fixed point with ``dt * REFINE_FACTOR``; ``trace`` records
+    ``dt`` overrides the automatic timestep when set; ``trace`` records
     every iterate's balanced TV and modularity, which costs more than the loop.
     """
 
@@ -55,7 +54,6 @@ class MboConfig:
     dt: float | None = None
     max_iters: int = 300
     seed: int = 0
-    refine: bool = True
     trace: bool = False
 
     def __post_init__(self):
@@ -188,7 +186,7 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
 
     Starts from ``init`` (a label vector) or from seeded uniform random
     labels, iterates diffuse / fidelity / threshold until the thresholded
-    partition repeats, then optionally refines from that fixed point with
+    partition repeats, then refines from that fixed point with
     ``dt * REFINE_FACTOR`` until stationary again.  Hitting ``max_iters`` in
     a phase is reported via ``converged=False``, not an error.  Identical
     (graph, basis, config, supervision, init) reproduce the result exactly.
@@ -218,7 +216,7 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
     u, labels, iters, converged = _sweep_to_fixed_point(
         basis, u, labels, dt, supervision, config.max_iters, history
     )
-    if config.refine and converged:
+    if converged:
         _, labels, extra, converged = _sweep_to_fixed_point(
             basis, u, labels, dt * REFINE_FACTOR, supervision, config.max_iters, history
         )

@@ -20,11 +20,12 @@ from .mbo import DT_CAP_FACTOR, MboConfig, MboResult, mbo_run, select_timestep, 
 __all__ = ["kmeans_init", "sweep_nhat", "recursive_partition"]
 
 DT_LADDER = 8  # rungs of the geometric timestep ladder a sweep tries per count
+KMEANS_RESTARTS = 4  # k-means++ seedings per kmeans_init, best inertia kept
+KMEANS_MAX_ITER = 100  # Lloyd iterations per restart
 
 
-def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
-                   max_iter: int = 100, restarts: int = 4) -> np.ndarray:
-    """Seeded k-means++ / Lloyd, best of ``restarts`` by inertia.
+def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded k-means++ / Lloyd, best of KMEANS_RESTARTS by inertia.
 
     Empty clusters are re-seeded at the point farthest from its centroid;
     clusters still empty after that are filled with a random point.
@@ -36,7 +37,7 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
         return np.arange(n, dtype=np.int64) % k
 
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = np.empty((k, points.shape[1]))
         centers[0] = points[rng.integers(n)]
         dist_sq = np.sum((points - centers[0]) ** 2, axis=1)
@@ -49,7 +50,7 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
             dist_sq = np.minimum(dist_sq, np.sum((points - centers[c]) ** 2, axis=1))
 
         labels = np.zeros(n, dtype=np.int64)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             dists = (
                 np.sum(points**2, axis=1)[:, None]
                 - 2.0 * points @ centers.T

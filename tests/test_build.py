@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import balancedtv.build as build_mod
 from balancedtv import (
+    SparseGraph,
     cut,
     knn_graph,
     load_edge_list,
@@ -9,7 +11,6 @@ from balancedtv import (
     load_label_pairs,
     load_labels,
     modularity,
-    nonlocal_means_features,
     planted_partition,
     save_edge_list,
     save_features,
@@ -91,39 +92,27 @@ class TestKnnGraph:
         with pytest.raises(ValueError, match="coincide"):
             knn_graph(pts, k=2)
 
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
+    def test_blocked_search_matches_one_block(self, monkeypatch, rng, rows_per_block):
+        # integer coordinates keep every squared distance exact, so the graphs
+        # must agree bit for bit whatever rows share a block
+        grid = rng.choice(20**3, size=40, replace=False)
+        pts = np.stack(np.unravel_index(grid, (20, 20, 20)), axis=1).astype(float)
+        pts[38:] = pts[0]  # point 0's two nearest neighbors coincide with it
+        one_block = knn_graph(pts, k=3, scaling_neighbor=2)
+        monkeypatch.setattr(build_mod, "KNN_BLOCK_BYTES", 8 * len(pts) * rows_per_block)
+        blocked = knn_graph(pts, k=3, scaling_neighbor=2)
+        assert one_block.adjacency[0, 38] == 1.0  # duplicates: d=0, weight 1
+        for field in ("row_offsets", "col_indices", "weights", "degrees"):
+            assert np.array_equal(getattr(blocked, field), getattr(one_block, field))
+        assert blocked.total_weight == one_block.total_weight
+
     def test_parameter_validation(self):
         pts = np.zeros((5, 1))
         with pytest.raises(ValueError):
             knn_graph(pts, k=5)
         with pytest.raises(ValueError):
             knn_graph(np.arange(5.0)[:, None], k=2, scaling_neighbor=3)
-
-
-class TestNonlocalMeans:
-    def test_single_pixel_is_normalized_spectrum(self):
-        cube = np.array([[[3.0, 4.0]]])
-        feats = nonlocal_means_features(cube, window=1)
-        assert feats.shape == (1, 2)
-        assert np.allclose(feats, [[0.6, 0.8]])
-
-    def test_feature_dimension(self, rng):
-        cube = rng.random((3, 3, 2))
-        feats = nonlocal_means_features(cube, window=3)
-        assert feats.shape == (9, 18)
-
-    def test_constant_cube_identical_rows(self):
-        cube = np.full((4, 5, 3), 2.5)
-        feats = nonlocal_means_features(cube, window=3)
-        assert np.allclose(feats, feats[0])
-
-    def test_unit_norms(self, rng):
-        cube = rng.random((5, 4, 6))
-        feats = nonlocal_means_features(cube, window=3)
-        assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
-
-    def test_even_window_rejected(self, rng):
-        with pytest.raises(ValueError):
-            nonlocal_means_features(rng.random((3, 3, 1)), window=2)
 
 
 class TestPlantedPartition:
@@ -193,6 +182,18 @@ class TestFileFormats:
         path = tmp_path / "g.txt"
         path.write_text(f"0 1 1.0\n{line}\n")
         with pytest.raises(ValueError, match="line 2: node index .* too large") as exc:
+            load_edge_list(path)
+        assert str(path) in str(exc.value)
+
+    def test_graph_too_large_for_memory_names_line(self, tmp_path, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        # stands in for the allocation failure; nothing large is allocated
+        monkeypatch.setattr(SparseGraph, "from_coo", out_of_memory)
+        path = tmp_path / "g.txt"
+        path.write_text("0 1 1.0\n0 5000000000 1\n1 2 1.0\n")
+        with pytest.raises(ValueError, match="line 2: node index 5000000000 asks for "
+                                             "a 5000000001-node graph") as exc:
             load_edge_list(path)
         assert str(path) in str(exc.value)
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +148,42 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert "--neig" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,needs", [
+        ("--knn", "5", "--features"),
+        ("--scaling-neighbor", "3", "--features"),
+        ("--supervision-weight", "5", "--supervision"),
+    ])
+    def test_partition_flag_without_its_option_rejected(self, tmp_path, capsys,
+                                                        flag, value, needs):
+        edges = write_cliques(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["partition", "--edges", str(edges), "--nhat", "2",
+                        flag, value, "--out", "x"])
+        assert exc.value.code == 2
+        assert f"{flag}: only used with {needs}" in capsys.readouterr().err
+
+    def test_tol_without_batch_rejected(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        save_labels(pred, [0, 1])
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["metrics", "--pred", str(pred), "--truth", str(pred),
+                        "--tol", "0.5"])
+        assert exc.value.code == 2
+        assert "--tol: only used with --batch" in capsys.readouterr().err
+
+    def test_dependent_defaults_resolved(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n1,1\n")
+        sup = tmp_path / "sup.csv"
+        sup.write_text("node,label\n0,0\n")
+        options = parse_args(["partition", "--features", str(pts), "--nhat", "2",
+                              "--supervision", str(sup), "--out", "x"]).options
+        assert (options.knn, options.scaling_neighbor, options.supervision_weight) == (
+            13, None, 100.0)
+        options = parse_args(["metrics", "--pred", str(sup), "--truth", str(sup),
+                              "--batch", str(sup)]).options
+        assert options.tol == 0.02
+
     def test_recursive_defaults_resolved(self, tmp_path):
         edges = write_cliques(tmp_path)
         options = parse_args(["partition", "--edges", str(edges), "--recursive",
@@ -172,10 +209,10 @@ class TestEndToEnd:
         labels = load_labels(f"{out}_labels.csv")
         assert len(set(labels[:5])) == 1 and len(set(labels[5:])) == 1
         assert labels[0] != labels[5]
-        batch_lines = open(f"{out}_batch.csv").read().splitlines()
+        batch_lines = Path(f"{out}_batch.csv").read_text().splitlines()
         assert batch_lines[0] == "seed,modularity,classification,wall_time_ms"
         assert len(batch_lines) == 4
-        trace_lines = open(f"{out}_trace.csv").read().splitlines()
+        trace_lines = Path(f"{out}_trace.csv").read_text().splitlines()
         assert trace_lines[0] == "iteration,balanced_tv,modularity"
         assert len(trace_lines) >= 2
 
@@ -189,11 +226,11 @@ class TestEndToEnd:
                 "--seed", "5", "--repeat", "4", "--out", str(out), "--trace",
             ])
             assert code == 0
-            labels_bytes = open(f"{out}_labels.csv", "rb").read()
-            trace_bytes = open(f"{out}_trace.csv", "rb").read()
+            labels_bytes = Path(f"{out}_labels.csv").read_bytes()
+            trace_bytes = Path(f"{out}_trace.csv").read_bytes()
             batch = [
                 line.split(",")[:3]  # all columns except wall_time_ms
-                for line in open(f"{out}_batch.csv").read().splitlines()
+                for line in Path(f"{out}_batch.csv").read_text().splitlines()
             ]
             outputs.append((labels_bytes, trace_bytes, batch))
         assert outputs[0] == outputs[1]
@@ -270,7 +307,7 @@ class TestEndToEnd:
             "partition", "--edges", str(edges), "--sweep", "2..4",
             "--out", str(out), "--trace",
         ]) == 0
-        trace_lines = open(f"{out}_trace.csv").read().splitlines()
+        trace_lines = Path(f"{out}_trace.csv").read_text().splitlines()
         assert trace_lines[0] == "iteration,balanced_tv,modularity"
         assert len(trace_lines) >= 2
 
@@ -312,8 +349,8 @@ class TestEndToEnd:
         single = tmp_path / "single"
         assert main(["partition", "--edges", str(edges), *strategy,
                      "--seed", str(best_seed), "--out", str(single), "--trace"]) == 0
-        trace = open(f"{out}_trace.csv", "rb").read()
-        assert trace == open(f"{single}_trace.csv", "rb").read()
+        trace = Path(f"{out}_trace.csv").read_bytes()
+        assert trace == Path(f"{single}_trace.csv").read_bytes()
         assert len(trace.splitlines()) >= 2
 
     @pytest.mark.parametrize("strategy,flag", [

@@ -234,9 +234,10 @@ class TestMboRun:
             basis = full_basis(g, gamma)
             tau = 0.9 * np.log(2.0) / (2.0 * (gamma + 1.0) * g.degrees.max())
             init = random_labels(rng, n, 2)
-            config = MboConfig(gamma=gamma, nhat=2, dt=tau, refine=False, seed=0)
+            config = MboConfig(gamma=gamma, nhat=2, dt=tau, seed=0)
             result = mbo_run(g, basis, config, init=init)
-            assert result.iterations == 1
+            # one sweep at dt and one refinement sweep, neither moving a label
+            assert result.iterations == 2
             assert np.array_equal(result.labels, init)
 
     def test_separates_disconnected_cliques_at_optimum(self, rng):
@@ -359,7 +360,7 @@ class TestMboRun:
     def test_max_iters_reported_not_fatal(self, rng):
         g = random_graph(rng, 15)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 5)
-        config = MboConfig(gamma=1.0, nhat=2, seed=0, max_iters=1, refine=False)
+        config = MboConfig(gamma=1.0, nhat=2, seed=0, max_iters=1)
         result = mbo_run(g, basis, config)
         assert result.iterations <= 1
 

@@ -52,7 +52,9 @@ class TestStrategies:
 class TestKmeansInit:
     def test_separates_disconnected_cliques(self):
         g = two_cliques(6)
-        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 4)
+        # the two cliques give a repeated eigenvalue that a 4-pair basis splits
+        with pytest.warns(UserWarning, match="nearly coincide"):
+            basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 4)
         labels = kmeans_init(basis, 2, seed=0)
         assert labels.dtype == np.int64 and labels.shape == (12,)
         assert len(set(labels[:6])) == 1
