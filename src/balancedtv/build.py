@@ -153,15 +153,9 @@ def planted_partition(n_nodes: int, n_communities: int, avg_degree_in: float,
     for start in range(0, n_nodes):
         # upper triangle only; probabilities keyed on same/different block
         partners = np.arange(start + 1, n_nodes)
-        if partners.size == 0:
-            continue
         probs = np.where(labels[partners] == labels[start], p_in, p_out)
         hit = partners[rng.random(partners.size) < probs]
         rows.append(np.full(hit.size, start, dtype=np.int64))
         cols.append(hit)
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    graph = SparseGraph.from_coo(
-        n_nodes, rows, cols, np.ones(rows.size), symmetrize=True
-    )
-    return graph, labels
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return SparseGraph.from_coo(n_nodes, rows, cols, np.ones(rows.size)), labels

@@ -13,11 +13,11 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from . import io
+from . import io, mbo
 from .build import knn_graph, planted_partition, two_moons
 from .eigen import DiffusionOperator, smallest_eigenpairs
 from .graph import Supervision, modularity
@@ -25,15 +25,16 @@ from .mbo import MboConfig, mbo_run
 from .metrics import RunBatch, classification_rate, consistency, purity
 from .partition import recursive_partition, sweep_nhat
 
-__all__ = ["RunSpec", "parse_args", "run", "main"]
+__all__ = ["parse_args", "run", "main"]
 
 BATCH_HEADER = "seed,modularity,classification,wall_time_ms"
 # flags read only when another option is given, per command:
 # (flag, attribute, default, the enabling option's attribute, least valid value)
+KNN_FLAGS = (("--knn", "knn", 13, "features", 1),
+             ("--scaling-neighbor", "scaling_neighbor", None, "features", 1))
 DEPENDENT_FLAGS = {
-    "partition": (
-        ("--knn", "knn", 13, "features", None),
-        ("--scaling-neighbor", "scaling_neighbor", None, "features", None),
+    "build-graph": KNN_FLAGS,
+    "partition": KNN_FLAGS + (
         ("--supervision-weight", "supervision_weight", 100.0, "supervision", None),
         ("--split-factor", "split_factor", 2, "recursive", 2),
         ("--min-size", "min_size", 4, "recursive", 2),
@@ -41,15 +42,6 @@ DEPENDENT_FLAGS = {
     ),
     "metrics": (("--tol", "tol", 0.02, "batch", None),),
 }
-
-
-@dataclass
-class RunSpec:
-    """A parsed and validated command line."""
-
-    command: str
-    options: argparse.Namespace
-    mbo_config: MboConfig | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,18 +71,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build-graph", help="k-NN graph from features")
     build.add_argument("--features", required=True)
-    build.add_argument("--knn", type=int, default=13, metavar="K")
-    build.add_argument("--scaling-neighbor", type=int, metavar="S",
-                       help="neighbor index for the self-tuning scale (default K)")
     build.add_argument("--out", required=True, help="edge-list file to write")
 
     part = sub.add_parser("partition", help="find communities")
     source = part.add_mutually_exclusive_group(required=True)
     source.add_argument("--edges", help="edge-list input file")
     source.add_argument("--features", help="feature CSV input file")
-    part.add_argument("--knn", type=int, metavar="K", help="default 13; only with --features")
-    part.add_argument("--scaling-neighbor", type=int, metavar="S",
-                      help="self-tuning scale neighbor (default K); only with --features")
+    for knn_user in (build, part):
+        knn_user.add_argument("--knn", type=int, metavar="K",
+                              help="default 13; only with --features")
+        knn_user.add_argument("--scaling-neighbor", type=int, metavar="S",
+                              help="self-tuning scale neighbor (default K); only with --features")
     part.add_argument("--gamma", type=float, default=1.0)
     strat = part.add_mutually_exclusive_group(required=True)
     strat.add_argument("--nhat", type=int, help="fixed community count")
@@ -127,8 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunSpec:
-    """Resolve a command line into a validated :class:`RunSpec`.
+def parse_args(argv) -> argparse.Namespace:
+    """Resolve a command line into validated options; for ``partition`` the
+    solver settings are in ``options.mbo_config``.
 
     Raises SystemExit(2) with a message naming the offending flag or file on
     any usage error.
@@ -152,8 +144,11 @@ def parse_args(argv) -> RunSpec:
             setattr(options, attr, default)
         elif least is not None and not value >= least:
             parser.error(f"{flag}: must be at least {least}")
+    # k < N is left to the run: it needs the feature file
+    scaling = getattr(options, "scaling_neighbor", None)
+    if scaling is not None and scaling > options.knn:
+        parser.error(f"--scaling-neighbor: must not exceed --knn ({options.knn})")
 
-    spec = RunSpec(command=options.command, options=options)
     if options.command == "partition":
         if options.neig is not None and options.neig < 1:
             parser.error("--neig: must be at least 1")
@@ -179,20 +174,16 @@ def parse_args(argv) -> RunSpec:
                 parser.error("--nhat: must be at least 1")
             nhat = options.nhat
         try:
-            spec.mbo_config = MboConfig(
-                gamma=options.gamma,
-                nhat=nhat,
-                dt=options.dt,
-                seed=options.seed,
-                trace=options.trace,
+            options.mbo_config = MboConfig(
+                gamma=options.gamma, nhat=nhat, dt=options.dt, seed=options.seed
             )
         except ValueError as exc:
             parser.error(str(exc))
-    return spec
+    return options
 
 
 def _load_graph(options):
-    if options.edges:
+    if getattr(options, "edges", None):
         return io.load_edge_list(options.edges)
     features = io.load_features(options.features)
     return knn_graph(features, options.knn, options.scaling_neighbor)
@@ -207,7 +198,7 @@ def _partition_once(graph, basis, options, config, supervision, seed):
         result = None
     else:
         if options.sweep:
-            result = sweep_nhat(graph, options.sweep, seeded, supervision, basis)
+            result = sweep_nhat(graph, basis, options.sweep, seeded, supervision)
         else:
             result = mbo_run(graph, basis, seeded, supervision=supervision)
         labels, q = result.labels, result.modularity
@@ -215,8 +206,8 @@ def _partition_once(graph, basis, options, config, supervision, seed):
     return labels, q, result, elapsed_ms
 
 
-def _run_partition(spec: RunSpec) -> int:
-    options, config = spec.options, spec.mbo_config
+def _run_partition(options) -> int:
+    config = options.mbo_config
     graph = _load_graph(options)
     truth = io.load_labels(options.truth) if options.truth else None
     if truth is not None and truth.size != graph.n_nodes:
@@ -242,15 +233,14 @@ def _run_partition(spec: RunSpec) -> int:
 
     # repeats run untraced; only the kept seed is rerun with traces on
     seeds = list(range(config.seed, config.seed + options.repeat))
-    untraced = replace(config, trace=False)
-    outcomes = [_partition_once(graph, basis, options, untraced, supervision, s)
+    outcomes = [_partition_once(graph, basis, options, config, supervision, s)
                 for s in seeds]
 
     rows = []
     for seed, (labels, q, result, ms) in zip(seeds, outcomes):
         if result is not None and not result.converged:
             print(f"warning: seed {seed}: MBO with {result.nhat} communities did "
-                  f"not converge in max_iters={config.max_iters}", file=sys.stderr)
+                  f"not converge in {mbo.MAX_ITERS} iterations", file=sys.stderr)
         cls = classification_rate(labels, truth) if truth is not None else None
         rows.append((seed, q, cls, ms))
 
@@ -267,7 +257,7 @@ def _run_partition(spec: RunSpec) -> int:
         # and timestep with traces on reproduces it
         kept = outcomes[best_idx][2]
         rerun = replace(config, seed=seeds[best_idx], nhat=kept.nhat, dt=kept.dt_used)
-        result = mbo_run(graph, basis, rerun, supervision=supervision)
+        result = mbo_run(graph, basis, rerun, supervision=supervision, trace=True)
         with open(f"{options.out}_trace.csv", "w") as fh:
             fh.write("iteration,balanced_tv,modularity\n")
             for i, (tv, q) in enumerate(
@@ -300,8 +290,7 @@ def _run_generate(options) -> int:
 
 
 def _run_build_graph(options) -> int:
-    features = io.load_features(options.features)
-    graph = knn_graph(features, options.knn, options.scaling_neighbor)
+    graph = _load_graph(options)
     io.save_edge_list(options.out, graph)
     print(f"wrote {options.out}: {graph.n_nodes} nodes, {graph.n_edges} edges")
     return 0
@@ -353,23 +342,17 @@ def _run_metrics(options) -> int:
     return 0
 
 
-def run(spec: RunSpec) -> int:
+def run(options: argparse.Namespace) -> int:
     """Execute a parsed command; returns the process exit code."""
-    if spec.command == "generate":
-        return _run_generate(spec.options)
-    if spec.command == "build-graph":
-        return _run_build_graph(spec.options)
-    if spec.command == "partition":
-        return _run_partition(spec)
-    if spec.command == "metrics":
-        return _run_metrics(spec.options)
-    raise ValueError(f"unknown command {spec.command!r}")
+    handlers = {"generate": _run_generate, "build-graph": _run_build_graph,
+                "partition": _run_partition, "metrics": _run_metrics}
+    return handlers[options.command](options)
 
 
 def main(argv=None) -> int:
-    spec = parse_args(sys.argv[1:] if argv is None else argv)
+    options = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return run(spec)
+        return run(options)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,13 +29,14 @@ __all__ = [
     "dense_spectrum",
 ]
 
-DENSE_ORACLE_LIMIT = 2000
 # below this node count a partial dense eigh beats Lanczos; for a 10-pair
 # basis the dense solve stays faster up to roughly 400 nodes, but its n x n
 # temporaries then raise peak memory, so the limit sits lower
 DENSE_SOLVE_LIMIT = 256
 RESIDUAL_TOL = 1e-6  # largest ||M v - lambda v|| EigenBasis.validate accepts
 ORTHO_TOL = 1e-8  # largest |V^T V - I| entry it accepts
+LANCZOS_TOL = 1e-8  # residual tolerance of the Lanczos solve, relative to ||M||
+LANCZOS_RESTARTS = 50  # Lanczos restart cycles allowed per wanted pair
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,8 @@ class DiffusionOperator:
         """2 (1 + gamma) k_max, an upper bound on the infinity norm of M."""
         return 2.0 * (1.0 + self.gamma) * float(self.graph.degrees.max())
 
-    def to_dense(self, max_nodes: int = DENSE_ORACLE_LIMIT) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         n = self.graph.n_nodes
-        if n > max_nodes:
-            raise ValueError(f"refusing to materialize a {n}x{n} dense operator")
         k = self.graph.degrees
         dense = self.graph.adjacency.toarray()
         np.negative(dense, out=dense)
@@ -143,8 +142,7 @@ def dense_spectrum(op: DiffusionOperator) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.eigh(dense)
 
 
-def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, tol: float = 1e-8,
-                        seed: int = 0, max_restarts: int | None = None) -> EigenBasis:
+def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, seed: int = 0) -> EigenBasis:
     """The n_eig smallest eigenpairs of the diffusion operator.
 
     Uses ARPACK's restarted Lanczos on the folded operator c*I - M
@@ -162,7 +160,7 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, tol: float = 1e-8,
     n_probe = min(n_eig + 1, n)
     if n < DENSE_SOLVE_LIMIT or n_probe >= n - 1:
         vals, vecs = scipy.linalg.eigh(
-            op.to_dense(max_nodes=n), subset_by_index=[0, n_probe - 1],
+            op.to_dense(), subset_by_index=[0, n_probe - 1],
             overwrite_a=True,
         )
     else:
@@ -172,14 +170,13 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, tol: float = 1e-8,
         folded = spla.LinearOperator(
             (n, n), matvec=lambda v: bound * v - op.apply(v), dtype=np.float64
         )
-        if max_restarts is None:
-            max_restarts = 50 * n_eig
+        max_restarts = LANCZOS_RESTARTS * n_eig
         try:
             mu, vecs = spla.eigsh(
                 folded,
                 k=n_probe,
                 which="LA",
-                tol=tol / max(1.0, bound),
+                tol=LANCZOS_TOL / max(1.0, bound),
                 v0=v0,
                 maxiter=max_restarts,
             )
@@ -187,7 +184,7 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, tol: float = 1e-8,
             got = len(exc.eigenvalues)
             raise RuntimeError(
                 f"Lanczos did not converge after {max_restarts} restart cycles: "
-                f"{got}/{n_probe} pairs at tolerance {tol:.1e}"
+                f"{got}/{n_probe} pairs at tolerance {LANCZOS_TOL:.1e}"
             ) from exc
         vals = bound - mu
         order = np.argsort(vals)

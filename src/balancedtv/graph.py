@@ -110,13 +110,9 @@ class SparseGraph:
         )
 
     @classmethod
-    def from_coo(cls, n_nodes, rows, cols, weights, symmetrize=False) -> "SparseGraph":
-        """Build from edge triplets.
-
-        With ``symmetrize=True`` each triplet (i, j, w) also contributes
-        (j, i, w); repeated triplets accumulate in either orientation.  Without
-        it the triplets must already describe a symmetric matrix.
-        """
+    def from_coo(cls, n_nodes, rows, cols, weights) -> "SparseGraph":
+        """Build from undirected edge triplets: each (i, j, w) also gives
+        (j, i, w), and repeated triplets accumulate in either orientation."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
@@ -125,14 +121,11 @@ class SparseGraph:
             raise ValueError("node index out of range")
         if np.any(weights < 0):
             raise ValueError("edge weights must be nonnegative")
-        if symmetrize:
-            # mirror the upper triangle after its repeats are summed, so that
-            # W[i, j] and W[j, i] are the same float
-            upper = sp.coo_matrix((weights, (np.minimum(rows, cols), np.maximum(rows, cols))),
-                                  shape=(n_nodes, n_nodes)).tocsr()
-            return cls.from_scipy(upper + upper.T)
-        w = sp.coo_matrix((weights, (rows, cols)), shape=(n_nodes, n_nodes))
-        return cls.from_scipy(w)
+        # mirror the upper triangle after its repeats are summed, so that
+        # W[i, j] and W[j, i] are the same float
+        upper = sp.coo_matrix((weights, (np.minimum(rows, cols), np.maximum(rows, cols))),
+                              shape=(n_nodes, n_nodes)).tocsr()
+        return cls.from_scipy(upper + upper.T)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseGraph":

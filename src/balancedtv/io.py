@@ -8,6 +8,8 @@ floats, one row per point, no header.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .graph import SparseGraph
@@ -68,7 +70,7 @@ def load_edge_list(path) -> SparseGraph:
             cols.append(j)
             weights.append(w)
     try:
-        return SparseGraph.from_coo(n_nodes, rows, cols, weights, symmetrize=True)
+        return SparseGraph.from_coo(n_nodes, rows, cols, weights)
     except MemoryError:
         raise ValueError(f"{path}: line {top_line}: node index {n_nodes - 1} asks "
                          f"for a {n_nodes}-node graph, too large for memory") from None
@@ -137,13 +139,34 @@ def save_labels(path, labels) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    """Read a headerless float CSV into an N x d feature matrix."""
-    values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """Read a headerless float CSV into an N x d feature matrix; a malformed
+    line is reported with its 1-based number."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {_first_bad_feature_line(path) or exc}") from None
     if values.size == 0:
         raise ValueError(f"{path}: empty feature file")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: non-finite feature entries")
     return values
+
+
+def _first_bad_feature_line(path) -> str | None:
+    """``line n: why`` for the first line np.loadtxt rejects, read alone."""
+    widths = []
+    with open(path, errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.split("#", 1)[0].rstrip("\n"):  # loadtxt skips other lines
+                try:
+                    widths.append(np.loadtxt([line], delimiter=",").size)
+                except ValueError:
+                    return f"line {lineno}: non-numeric entry in {line.strip()!r}"
+                if widths[-1] != widths[0]:
+                    return f"line {lineno}: {widths[-1]} values, the first row has {widths[0]}"
+    return None
 
 
 def save_features(path, features) -> None:

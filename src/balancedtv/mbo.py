@@ -38,6 +38,7 @@ __all__ = [
 DT_CAP_FACTOR = 1e3  # dt never exceeds this multiple of the freezing bound
 DECAY_EPSILON = 1.0  # target amplitude in the decay-time upper bound
 REFINE_FACTOR = 0.1  # the refinement phase runs at this fraction of dt
+MAX_ITERS = 300  # sweeps per phase before mbo_run reports converged=False
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,13 @@ class MboConfig:
     """Run parameters for one MBO solve.
 
     The eigenbasis passed to ``mbo_run`` fixes how many eigenpairs are used.
-    ``dt`` overrides the automatic timestep when set; ``trace`` records
-    every iterate's balanced TV and modularity, which costs more than the loop.
+    ``dt`` overrides the automatic timestep when set.
     """
 
     gamma: float
     nhat: int
     dt: float | None = None
-    max_iters: int = 300
     seed: int = 0
-    trace: bool = False
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -63,8 +61,6 @@ class MboConfig:
             raise ValueError("nhat must be at least 1")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive when given")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ class MboResult:
     iterations: int
     dt_used: float
     energy_trace: np.ndarray       # balanced TV of each thresholded iterate
-    modularity_trace: np.ndarray   # its modularity; both empty unless config.trace
+    modularity_trace: np.ndarray   # its modularity; both empty unless traced
     modularity: float
     converged: bool
     nhat: int
@@ -105,10 +101,7 @@ def select_timestep(basis: EigenBasis, graph: SparseGraph, config: MboConfig) ->
     if lam1 <= 0.0:
         return cap
     u0_norm = np.sqrt(graph.n_nodes)  # Frobenius norm of any partition matrix
-    log_ratio = np.log(u0_norm / DECAY_EPSILON)
-    if log_ratio <= 0.0:
-        return tau_lo
-    tau_hi = log_ratio / lam1
+    tau_hi = np.log(u0_norm / DECAY_EPSILON) / lam1
     return float(np.clip(np.sqrt(tau_lo * tau_hi), tau_lo, cap))
 
 
@@ -162,11 +155,12 @@ def _threshold_with_labels(u):
     return out, labels
 
 
-def _sweep_to_fixed_point(basis, u, labels, dt, supervision, max_iters, history):
+def _sweep_to_fixed_point(basis, u, labels, dt, supervision, history):
     """Threshold dynamics from the one-hot ``u`` of ``labels`` until the
-    partition repeats; returns (u, labels, iterations, converged) and, when
-    ``history`` is a list, appends each iterate's labels to it."""
-    for iteration in range(1, max_iters + 1):
+    partition repeats or MAX_ITERS sweeps pass; returns (u, labels,
+    iterations, converged) and, when ``history`` is a list, appends each
+    iterate's labels to it."""
+    for iteration in range(1, MAX_ITERS + 1):
         u_half = diffuse(basis, u, dt)
         if supervision is not None:
             u_half = fidelity_step(u_half, supervision, dt)
@@ -176,20 +170,22 @@ def _sweep_to_fixed_point(basis, u, labels, dt, supervision, max_iters, history)
         if np.array_equal(labels_next, labels):
             return u_next, labels_next, iteration, True
         u, labels = u_next, labels_next
-    return u, labels, max_iters, False
+    return u, labels, MAX_ITERS, False
 
 
 def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
             supervision: Supervision | None = None,
-            init: np.ndarray | None = None) -> MboResult:
+            init: np.ndarray | None = None, trace: bool = False) -> MboResult:
     """Run the threshold-dynamics iteration to a fixed point.
 
     Starts from ``init`` (a label vector) or from seeded uniform random
     labels, iterates diffuse / fidelity / threshold until the thresholded
     partition repeats, then refines from that fixed point with
-    ``dt * REFINE_FACTOR`` until stationary again.  Hitting ``max_iters`` in
-    a phase is reported via ``converged=False``, not an error.  Identical
-    (graph, basis, config, supervision, init) reproduce the result exactly.
+    ``dt * REFINE_FACTOR`` until stationary again.  Hitting MAX_ITERS in
+    a phase is reported via ``converged=False``, not an error.  ``trace``
+    records every iterate's balanced TV and modularity, which costs more than
+    the loop.  Identical (graph, basis, config, supervision, init) reproduce
+    the result exactly.
     """
     if basis.n_nodes != graph.n_nodes:
         raise ValueError("basis was computed for a different graph size")
@@ -212,13 +208,13 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
     u = labels_to_matrix(labels, config.nhat)
     dt = select_timestep(basis, graph, config)
 
-    history = [] if config.trace else None
+    history = [] if trace else None
     u, labels, iters, converged = _sweep_to_fixed_point(
-        basis, u, labels, dt, supervision, config.max_iters, history
+        basis, u, labels, dt, supervision, history
     )
     if converged:
         _, labels, extra, converged = _sweep_to_fixed_point(
-            basis, u, labels, dt * REFINE_FACTOR, supervision, config.max_iters, history
+            basis, u, labels, dt * REFINE_FACTOR, supervision, history
         )
         iters += extra
 

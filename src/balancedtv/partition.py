@@ -105,20 +105,18 @@ def _sweep_timesteps(graph: SparseGraph, basis: EigenBasis,
     return sorted(set(float(dt) for dt in rungs) | {auto})
 
 
-def sweep_nhat(graph: SparseGraph, nhats, config: MboConfig,
-               supervision: Supervision | None = None,
-               basis: EigenBasis | None = None) -> MboResult:
+def sweep_nhat(graph: SparseGraph, basis: EigenBasis, nhats, config: MboConfig,
+               supervision: Supervision | None = None) -> MboResult:
     """Run the MBO solve for each candidate community count and keep the
     partition with the best modularity (ties to the smaller count).
 
-    A single eigenbasis with 5 * max(nhats) vectors (capped at N) is computed
-    once and shared by every run; pass ``basis`` to reuse one computed
-    elsewhere.  Unless ``config.dt`` pins the timestep, each count is also
-    tried across a DT_LADDER-rung geometric ladder of timesteps (the
-    automatic choice always included): fixed points of the threshold
-    dynamics depend on the timestep, and with the basis amortized the extra
-    runs are nearly free.  Counts too small to hold every supervised class
-    are skipped.  ``config.nhat`` is replaced by each count in turn.
+    Every run shares the one eigenbasis ``basis``.  Unless ``config.dt`` pins
+    the timestep, each count is also tried across a DT_LADDER-rung geometric
+    ladder of timesteps (the automatic choice always included): fixed points
+    of the threshold dynamics depend on the timestep, and with the basis
+    amortized the extra runs are nearly free.  Counts too small to hold every
+    supervised class are skipped.  ``config.nhat`` is replaced by each count
+    in turn.
     """
     nhats = sorted(set(int(h) for h in nhats))
     if not nhats:
@@ -130,11 +128,6 @@ def sweep_nhat(graph: SparseGraph, nhats, config: MboConfig,
         if not nhats:
             raise ValueError(f"--sweep: every count is below the {supervision.classes} "
                              "classes of --supervision")
-    if basis is None:
-        n_eig = min(5 * nhats[-1], graph.n_nodes)
-        basis = smallest_eigenpairs(
-            DiffusionOperator(graph, config.gamma), n_eig, seed=config.seed
-        )
     timesteps = _sweep_timesteps(graph, basis, config)
     best = None
     for nhat in nhats:
@@ -183,9 +176,8 @@ def recursive_partition(graph: SparseGraph, config: MboConfig,
         sub_seed = config.seed + subproblem
         subproblem += 1
         basis = smallest_eigenpairs(op, n_eig, seed=sub_seed)
-        sub_config = replace(config, seed=sub_seed, trace=False)
         init = kmeans_init(basis, config.nhat, seed=sub_seed)
-        result = mbo_run(sub, basis, sub_config, init=init)
+        result = mbo_run(sub, basis, replace(config, seed=sub_seed), init=init)
 
         parts = np.unique(result.labels)
         if parts.size < 2:

@@ -268,7 +268,7 @@ def test_criterion_7_small_instance_optimality():
         best = -np.inf
         for seed in range(10):
             config = MboConfig(gamma=gamma, nhat=4, seed=seed)
-            result = sweep_nhat(graph, range(1, 5), config, basis=basis)
+            result = sweep_nhat(graph, basis, range(1, 5), config)
             best = max(best, result.modularity)
         if best > target + 1e-9:
             exceeded += 1

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +10,16 @@ import balancedtv
 from balancedtv import load_labels, save_edge_list, save_labels
 from balancedtv.cli import main, parse_args, run
 from conftest import two_cliques
+
+
+# flags whose k-NN range parse_args rejects, and the flag its error names
+KNN_RANGE_ERRORS = [
+    (["--knn", "0"], "--knn"),
+    (["--knn", "-3"], "--knn"),
+    (["--scaling-neighbor", "0"], "--scaling-neighbor"),
+    (["--knn", "5", "--scaling-neighbor", "9"], "--scaling-neighbor"),
+    (["--scaling-neighbor", "14"], "--scaling-neighbor"),  # above the default 13
+]
 
 
 def write_cliques(tmp_path):
@@ -43,14 +52,14 @@ def test_import_skips_slow_scipy_modules():
 class TestParseArgs:
     def test_fixed_strategy_spec(self, tmp_path):
         edges = write_cliques(tmp_path)
-        spec = parse_args([
+        options = parse_args([
             "partition", "--edges", str(edges), "--gamma", "0.5",
             "--nhat", "2", "--seed", "7", "--out", str(tmp_path / "run"),
         ])
-        assert spec.command == "partition"
-        assert spec.mbo_config.nhat == 2
-        assert spec.mbo_config.gamma == 0.5
-        assert spec.mbo_config.seed == 7
+        assert options.command == "partition"
+        assert options.mbo_config.nhat == 2
+        assert options.mbo_config.gamma == 0.5
+        assert options.mbo_config.seed == 7
 
     def test_conflicting_sources_rejected(self, tmp_path, capsys):
         edges = write_cliques(tmp_path)
@@ -63,12 +72,12 @@ class TestParseArgs:
         assert "--features" in capsys.readouterr().err
 
     def test_generator_spec(self, tmp_path):
-        spec = parse_args([
+        options = parse_args([
             "generate", "two-moons", "--n", "2000", "--dim", "100",
             "--out", str(tmp_path / "pts.csv"),
         ])
-        assert spec.command == "generate"
-        assert spec.options.n == 2000
+        assert options.command == "generate"
+        assert options.n == 2000
 
     def test_missing_input_file_named(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -78,11 +87,11 @@ class TestParseArgs:
 
     def test_sweep_parsing(self, tmp_path):
         edges = write_cliques(tmp_path)
-        spec = parse_args([
+        options = parse_args([
             "partition", "--edges", str(edges), "--sweep", "2..4", "--out", "x",
         ])
-        assert spec.options.sweep == range(2, 5)
-        assert spec.mbo_config.nhat == 4
+        assert options.sweep == range(2, 5)
+        assert options.mbo_config.nhat == 4
 
     def test_bad_sweep_range(self, tmp_path, capsys):
         edges = write_cliques(tmp_path)
@@ -162,6 +171,27 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert f"{flag}: only used with {needs}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,named", KNN_RANGE_ERRORS)
+    def test_partition_knn_range_checked_at_parse_time(self, tmp_path, capsys,
+                                                       flags, named):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n1,1\n2,2\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["partition", "--features", str(pts), "--nhat", "2",
+                        *flags, "--out", "x"])
+        assert exc.value.code == 2
+        assert f"error: {named}: must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,named", KNN_RANGE_ERRORS)
+    def test_build_graph_knn_range_checked_at_parse_time(self, tmp_path, capsys,
+                                                         flags, named):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n1,1\n2,2\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["build-graph", "--features", str(pts), *flags, "--out", "x"])
+        assert exc.value.code == 2
+        assert f"error: {named}: must" in capsys.readouterr().err
+
     def test_tol_without_batch_rejected(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
         save_labels(pred, [0, 1])
@@ -177,17 +207,17 @@ class TestParseArgs:
         sup = tmp_path / "sup.csv"
         sup.write_text("node,label\n0,0\n")
         options = parse_args(["partition", "--features", str(pts), "--nhat", "2",
-                              "--supervision", str(sup), "--out", "x"]).options
+                              "--supervision", str(sup), "--out", "x"])
         assert (options.knn, options.scaling_neighbor, options.supervision_weight) == (
             13, None, 100.0)
         options = parse_args(["metrics", "--pred", str(sup), "--truth", str(sup),
-                              "--batch", str(sup)]).options
+                              "--batch", str(sup)])
         assert options.tol == 0.02
 
     def test_recursive_defaults_resolved(self, tmp_path):
         edges = write_cliques(tmp_path)
         options = parse_args(["partition", "--edges", str(edges), "--recursive",
-                              "--out", "x"]).options
+                              "--out", "x"])
         assert (options.split_factor, options.min_size, options.gain_tol) == (2, 4, 1e-10)
 
 
@@ -336,7 +366,8 @@ class TestEndToEnd:
             real = mod.mbo_run
             monkeypatch.setattr(
                 mod, "mbo_run",
-                lambda *a, real=real, **k: traced.append(a[2].trace) or real(*a, **k),
+                lambda *a, real=real, **k: traced.append(k.get("trace", False))
+                or real(*a, **k),
             )
         out = tmp_path / "many"
         assert main(["partition", "--edges", str(edges), *strategy,
@@ -369,18 +400,20 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert flag in err and "--supervision" in err and "4 classes" in err
 
-    def test_non_convergence_reported(self, tmp_path, capsys):
+    def test_non_convergence_reported(self, tmp_path, capsys, monkeypatch):
+        import balancedtv.mbo as mbo_mod
+
+        monkeypatch.setattr(mbo_mod, "MAX_ITERS", 1)
         edges, _ = write_planted(tmp_path, 90, 3)
-        spec = parse_args([
+        options = parse_args([
             "partition", "--edges", str(edges), "--nhat", "3", "--seed", "4",
             "--out", str(tmp_path / "short"),
         ])
-        spec.mbo_config = replace(spec.mbo_config, max_iters=1)
-        assert run(spec) == 0
+        assert run(options) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "seed 4" in err[0] and "3 communities" in err[0]
-        assert "max_iters=1" in err[0]
+        assert "in 1 iterations" in err[0]
 
     def test_supervision_flag(self, tmp_path):
         edges = write_cliques(tmp_path)

@@ -1,7 +1,8 @@
 """Property-based fuzzing of the file loaders.
 
 Any input either loads or fails with a ValueError whose message starts with
-the file name and then names the offending line or the header.  Node ids
+the file name and then names the offending line, the header or, for feature
+files, an empty or non-finite matrix.  Node ids
 stay at or below MAX_ID or are at least 2^63 - 1, which the edge-list loader
 rejects: it sizes the graph by the largest id, so an id in between asks for
 a huge allocation rather than failing to parse.
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balancedtv import load_edge_list, load_label_pairs
+from balancedtv import load_edge_list, load_features, load_label_pairs
 from balancedtv.cli import BATCH_HEADER, _load_batch
 
 MAX_ID = 10**4
@@ -39,6 +40,9 @@ def with_header(headers, lines):
 
 
 edge_files = rows(st.tuples(ids, ids, numbers), " ").map(lambda ls: "\n".join(ls) + "\n")
+feature_files = st.integers(1, 3).flatmap(
+    lambda width: rows(st.tuples(*[numbers] * width), ",")
+).map(lambda ls: "\n".join(ls) + "\n")
 label_files = with_header(
     st.sampled_from(["node,label", "Node,Label", "node;label", ""]),
     rows(st.tuples(ids, ids), ","),
@@ -54,13 +58,13 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.txt"
 
 
-def assert_loads_or_names_place(load, path, text):
+def assert_loads_or_names_place(load, path, text, place=".*header"):
     path.write_text(text)
     try:
         load(path)
     except ValueError as exc:
         message = str(exc)
-        where = re.match(rf"{re.escape(str(path))}: (line (\d+): |.*header)", message)
+        where = re.match(rf"{re.escape(str(path))}: (line (\d+): |{place})", message)
         assert where, message
         if where.group(2):
             assert 1 <= int(where.group(2)) <= text.count("\n"), message
@@ -82,6 +86,13 @@ def test_label_pairs_load_or_name_line(scratch, text):
 @given(text=batch_files)
 def test_batch_loads_or_names_line(scratch, text):
     assert_loads_or_names_place(_load_batch, scratch, text)
+
+
+@FUZZ
+@given(text=feature_files)
+def test_features_load_or_name_line(scratch, text):
+    assert_loads_or_names_place(load_features, scratch, text,
+                                place="empty feature file|non-finite feature entries")
 
 
 @FUZZ

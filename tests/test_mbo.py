@@ -1,10 +1,10 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import balancedtv.mbo as mbo_mod
 from balancedtv import (
     DiffusionOperator,
     EigenBasis,
@@ -295,9 +295,9 @@ class TestMboRun:
     def test_determinism(self, rng):
         g = random_graph(rng, 30)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 10)
-        config = MboConfig(gamma=1.0, nhat=3, seed=11, trace=True)
-        a = mbo_run(g, basis, config)
-        b = mbo_run(g, basis, config)
+        config = MboConfig(gamma=1.0, nhat=3, seed=11)
+        a = mbo_run(g, basis, config, trace=True)
+        b = mbo_run(g, basis, config, trace=True)
         assert np.array_equal(a.labels, b.labels)
         assert a.iterations == b.iterations
         assert a.dt_used == b.dt_used
@@ -307,7 +307,7 @@ class TestMboRun:
     def test_result_consistency(self, rng):
         g = random_graph(rng, 25)
         basis = smallest_eigenpairs(DiffusionOperator(g, 0.8), 10)
-        result = mbo_run(g, basis, MboConfig(gamma=0.8, nhat=2, seed=5, trace=True))
+        result = mbo_run(g, basis, MboConfig(gamma=0.8, nhat=2, seed=5), trace=True)
         assert np.all(np.isfinite(result.energy_trace))
         assert result.modularity == pytest.approx(
             modularity(g, result.labels, 0.8), rel=1e-12
@@ -322,8 +322,7 @@ class TestMboRun:
             for supervision in (None, sup):
                 config = MboConfig(gamma=1.0, nhat=3, seed=seed)
                 off = mbo_run(g, basis, config, supervision=supervision)
-                on = mbo_run(g, basis, replace(config, trace=True),
-                             supervision=supervision)
+                on = mbo_run(g, basis, config, supervision=supervision, trace=True)
                 assert np.array_equal(off.labels, on.labels)
                 assert off.labels.dtype == on.labels.dtype
                 assert off.iterations == on.iterations
@@ -357,10 +356,11 @@ class TestMboRun:
         assert np.all(result.labels == 0)
         assert result.converged
 
-    def test_max_iters_reported_not_fatal(self, rng):
+    def test_max_iters_reported_not_fatal(self, rng, monkeypatch):
+        monkeypatch.setattr(mbo_mod, "MAX_ITERS", 1)
         g = random_graph(rng, 15)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 5)
-        config = MboConfig(gamma=1.0, nhat=2, seed=0, max_iters=1)
+        config = MboConfig(gamma=1.0, nhat=2, seed=0)
         result = mbo_run(g, basis, config)
         assert result.iterations <= 1
 

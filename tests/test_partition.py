@@ -20,17 +20,12 @@ from balancedtv import (
 from conftest import complete_graph, random_graph, two_cliques
 
 
-def record_trace_flags(monkeypatch):
-    """Make partition's mbo_run log each run's ``config.trace``; returns the log."""
-    import balancedtv.partition as partition_mod
-
-    flags, real = [], partition_mod.mbo_run
-    monkeypatch.setattr(
-        partition_mod, "mbo_run",
-        lambda graph, basis, config, **k: flags.append(config.trace)
-        or real(graph, basis, config, **k),
+def sweep_basis(graph, max_nhat, seed=0):
+    """A basis of 5 * max_nhat pairs (capped at N), sized as the CLI sizes a
+    sweep's."""
+    return smallest_eigenpairs(
+        DiffusionOperator(graph, 1.0), min(5 * max_nhat, graph.n_nodes), seed=seed
     )
-    return flags
 
 
 class TestStrategies:
@@ -40,7 +35,7 @@ class TestStrategies:
         with pytest.raises(ValueError):
             MboConfig(gamma=1.0, nhat=0)
         with pytest.raises(ValueError, match="empty"):
-            sweep_nhat(g, range(3, 2), config)
+            sweep_nhat(g, sweep_basis(g, 2), range(3, 2), config)
         with pytest.raises(ValueError, match="split factor"):
             recursive_partition(g, replace(config, nhat=1))
         with pytest.raises(ValueError, match="min_size"):
@@ -84,7 +79,7 @@ class TestSweep:
     def test_cliques_pick_two_communities(self):
         g = two_cliques(5)
         config = MboConfig(gamma=1.0, nhat=2, seed=0)
-        best = sweep_nhat(g, range(2, 5), config)
+        best = sweep_nhat(g, sweep_basis(g, 4), range(2, 5), config)
         assert np.unique(best.labels).size == 2
         assert best.modularity == pytest.approx(0.5)
 
@@ -96,7 +91,7 @@ class TestSweep:
         )
         # pinning dt to the automatic choice leaves the sweep one timestep
         auto = select_timestep(basis, g, config)
-        swept = sweep_nhat(g, [3], replace(config, dt=auto))
+        swept = sweep_nhat(g, basis, [3], replace(config, dt=auto))
         fixed_config = MboConfig(gamma=1.0, nhat=3, seed=7)
         fixed = mbo_run(g, basis, fixed_config)
         assert np.array_equal(swept.labels, fixed.labels)
@@ -107,60 +102,41 @@ class TestSweep:
         config = MboConfig(gamma=1.0, nhat=3, seed=2)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 15, seed=2)
         auto = select_timestep(basis, g, config)
-        plain = sweep_nhat(g, range(1, 4), replace(config, dt=auto))
-        laddered = sweep_nhat(g, range(1, 4), config)
+        plain = sweep_nhat(g, basis, range(1, 4), replace(config, dt=auto))
+        laddered = sweep_nhat(g, basis, range(1, 4), config)
         assert laddered.modularity >= plain.modularity - 1e-12
 
     def test_explicit_dt_disables_ladder(self, rng):
         g = random_graph(rng, 15)
         config = MboConfig(gamma=1.0, nhat=2, seed=0, dt=0.05)
-        swept = sweep_nhat(g, [2], config)
+        swept = sweep_nhat(g, sweep_basis(g, 2), [2], config)
         assert swept.dt_used == 0.05
 
     def test_best_dominates_every_candidate(self, rng):
         g = random_graph(rng, 18)
         config = MboConfig(gamma=1.0, nhat=4, seed=3)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 18, seed=3)
-        best = sweep_nhat(g, range(1, 5), config, basis=basis)
+        best = sweep_nhat(g, basis, range(1, 5), config)
         for nhat in range(1, 5):
-            single = sweep_nhat(g, [nhat], config, basis=basis)
+            single = sweep_nhat(g, basis, [nhat], config)
             assert best.modularity >= single.modularity - 1e-12
-
-    def test_computes_exactly_one_basis(self, rng, monkeypatch):
-        import balancedtv.partition as partition_mod
-
-        g = random_graph(rng, 16)
-        calls = []
-        real = partition_mod.smallest_eigenpairs
-        monkeypatch.setattr(
-            partition_mod, "smallest_eigenpairs",
-            lambda *a, **k: calls.append(1) or real(*a, **k),
-        )
-        sweep_nhat(g, range(1, 5), MboConfig(gamma=1.0, nhat=4, seed=0))
-        assert len(calls) == 1
 
     def test_supervision_skips_counts_below_its_classes(self):
         g, truth = planted_partition(80, 4, 10.0, 0.5, seed=1)
         nodes = np.array([np.flatnonzero(truth == b)[0] for b in range(4)])
         sup = Supervision(nodes, truth[nodes], weight=100.0)
         config = MboConfig(gamma=1.0, nhat=6, seed=0)
-        best = sweep_nhat(g, range(2, 7), config, supervision=sup)
+        basis = sweep_basis(g, 6)
+        best = sweep_nhat(g, basis, range(2, 7), config, supervision=sup)
         assert best.nhat >= 4
         assert np.array_equal(best.labels[nodes], truth[nodes])
         with pytest.raises(ValueError, match="--sweep.*--supervision"):
-            sweep_nhat(g, range(2, 4), config, supervision=sup)
-
-    def test_trace_reaches_every_run(self, rng, monkeypatch):
-        g = random_graph(rng, 16)
-        traced = record_trace_flags(monkeypatch)
-        best = sweep_nhat(g, range(2, 4), MboConfig(gamma=1.0, nhat=3, trace=True))
-        assert traced and all(traced)
-        assert best.energy_trace.size == best.iterations
+            sweep_nhat(g, basis, range(2, 4), config, supervision=sup)
 
     def test_empty_range_rejected(self, rng):
         g = random_graph(rng, 8)
         with pytest.raises(ValueError, match="empty"):
-            sweep_nhat(g, [], MboConfig(gamma=1.0, nhat=2))
+            sweep_nhat(g, sweep_basis(g, 2), [], MboConfig(gamma=1.0, nhat=2))
 
 
 class TestRecursive:
@@ -195,12 +171,6 @@ class TestRecursive:
         g, _ = planted_partition(120, 4, 9.0, 0.5, seed=2)
         labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=2, seed=0))
         assert set(labels) == set(range(labels.max() + 1))
-
-    def test_subgraph_runs_skip_traces(self, monkeypatch):
-        g, _ = planted_partition(60, 3, 8.0, 0.5, seed=0)
-        traced = record_trace_flags(monkeypatch)
-        recursive_partition(g, MboConfig(gamma=1.0, nhat=2, trace=True))
-        assert traced and not any(traced)
 
     def test_determinism(self):
         g, _ = planted_partition(100, 4, 8.0, 1.0, seed=3)

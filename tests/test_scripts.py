@@ -1,6 +1,8 @@
-"""Smoke tests: each example script runs to completion at a small size."""
+"""Smoke tests: each example script runs to completion at a small size, and
+the README's library example runs as written."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +10,9 @@ import pytest
 
 import balancedtv
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+SCRIPTS = os.path.join(ROOT, "scripts")
+README = os.path.join(ROOT, "README.md")
 
 
 @pytest.mark.parametrize("script,args", [
@@ -22,3 +26,15 @@ def test_script_runs(script, args):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "best" in done.stdout
+
+
+def test_readme_python_blocks_run(capsys):
+    """The README's Python blocks, run in order in one namespace as a reader
+    would paste them."""
+    with open(README) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, README, "exec"), namespace)
+    assert capsys.readouterr().out
