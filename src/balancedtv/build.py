@@ -99,12 +99,12 @@ def knn_graph(features, k: int, scaling_neighbor: int | None = None) -> SparseGr
     if features.ndim != 2:
         raise ValueError("features must be a 2-d array")
     n = features.shape[0]
+    if not 1 <= k < n:
+        raise ValueError("k must satisfy 1 <= k < n_points")
     if scaling_neighbor is None:
         scaling_neighbor = k
     if not 1 <= scaling_neighbor <= k:
         raise ValueError("scaling_neighbor must lie in [1, k]")
-    if not 1 <= k < n:
-        raise ValueError("k must satisfy 1 <= k < n_points")
 
     dist, idx = _knn_distances(features, k)
     sigma = dist[:, scaling_neighbor - 1].copy()

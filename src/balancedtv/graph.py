@@ -7,9 +7,9 @@ total variation, modularity with resolution parameter gamma, the balanced-cut
 and balanced-TV reformulations of modularity, a Ginzburg-Landau diagnostic
 energy, and the fidelity-augmented objective for semi-supervised runs.
 
-A partition passes between modules as an integer label vector of length N.
-The N x nhat one-hot matrix of :func:`labels_to_matrix` is only the working
-form of the MBO diffuse/threshold step and of the matrix energies below.
+A partition is an integer label vector of length N.  The N x nhat one-hot
+matrix of :func:`labels_to_matrix` is only the input of the MBO diffusion
+step and of the matrix energies below.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ VALIDATE_RTOL = 1e-12  # relative slack SparseGraph.validate allows cached sums
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """Weighted undirected graph in compressed sparse row form.
+    """Weighted undirected graph: its weight matrix W as one canonical scipy
+    CSR matrix ``adjacency`` (arrays read-only), its degrees and 2m.
 
     Invariants (enforced by the constructors, rechecked by :meth:`validate`):
     every stored entry (i, j, w) has a mirror (j, i, w) with the identical
@@ -50,22 +51,14 @@ class SparseGraph:
     Instances are immutable and safe to share across threads.
     """
 
-    n_nodes: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    weights: np.ndarray
+    adjacency: sp.csr_matrix
     degrees: np.ndarray
     total_weight: float
 
     def __post_init__(self):
-        for arr in (self.row_offsets, self.col_indices, self.weights, self.degrees):
+        w = self.adjacency
+        for arr in (w.indptr, w.indices, w.data, self.degrees):
             arr.flags.writeable = False
-        adj = sp.csr_matrix(
-            (self.weights, self.col_indices, self.row_offsets),
-            shape=(self.n_nodes, self.n_nodes),
-            copy=False,
-        )
-        object.__setattr__(self, "_adjacency", adj)
         object.__setattr__(self, "_row_index", None)
 
     # -- constructors ------------------------------------------------------
@@ -77,7 +70,7 @@ class SparseGraph:
         Self-loops are stripped, explicit zeros dropped, duplicates summed.
         Weights must be finite and nonnegative.
         """
-        w = sp.coo_matrix(matrix)
+        w = sp.coo_matrix(matrix, dtype=np.float64)
         if w.shape[0] != w.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got {w.shape}")
         keep = w.row != w.col
@@ -99,15 +92,8 @@ class SparseGraph:
         """Wrap a CSR matrix that already satisfies every class invariant
         (sorted indices, no duplicates, zeros or self-loops, symmetric,
         positive) and derive its degrees."""
-        degrees = np.asarray(w.sum(axis=1)).ravel().astype(np.float64)
-        return cls(
-            n_nodes=w.shape[0],
-            row_offsets=w.indptr.astype(np.int64),
-            col_indices=w.indices.astype(np.int64),
-            weights=w.data.astype(np.float64),
-            degrees=degrees,
-            total_weight=float(degrees.sum()),
-        )
+        degrees = np.asarray(w.sum(axis=1)).ravel()
+        return cls(adjacency=w, degrees=degrees, total_weight=float(degrees.sum()))
 
     @classmethod
     def from_coo(cls, n_nodes, rows, cols, weights) -> "SparseGraph":
@@ -134,20 +120,20 @@ class SparseGraph:
     # -- views -------------------------------------------------------------
 
     @property
-    def adjacency(self) -> sp.csr_matrix:
-        """The weight matrix W as a scipy CSR matrix (shares storage)."""
-        return self._adjacency
+    def n_nodes(self) -> int:
+        """Number of nodes (rows of W)."""
+        return self.adjacency.shape[0]
 
     @property
     def n_edges(self) -> int:
         """Number of undirected edges (stored entries / 2)."""
-        return self.col_indices.size // 2
+        return self.adjacency.nnz // 2
 
     def row_index(self) -> np.ndarray:
         """Source node of each stored entry; cached after first use."""
         if self._row_index is None:
             idx = np.repeat(
-                np.arange(self.n_nodes, dtype=np.int64), np.diff(self.row_offsets)
+                np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adjacency.indptr)
             )
             idx.flags.writeable = False
             object.__setattr__(self, "_row_index", idx)
@@ -157,13 +143,13 @@ class SparseGraph:
         """Induced subgraph on ``nodes`` (relabeled 0..len(nodes)-1)."""
         nodes = _check_subset(self, nodes)
         # an induced subgraph of a valid graph is valid, so skip from_scipy's checks
-        w = self._adjacency[nodes][:, nodes]
+        w = self.adjacency[nodes][:, nodes]
         w.sort_indices()
         return SparseGraph._from_canonical_csr(w)
 
     def validate(self) -> None:
         """Recheck all structural invariants; raises ValueError on failure."""
-        w = self._adjacency
+        w = self.adjacency
         if w.nnz and w.data.min() < 0:
             raise ValueError("negative edge weight")
         if w.diagonal().any():
@@ -267,9 +253,9 @@ def cut(graph: SparseGraph, subset) -> float:
     nodes = _check_subset(graph, subset)
     inside = np.zeros(graph.n_nodes, dtype=bool)
     inside[nodes] = True
-    i = graph.row_index()
-    mask = inside[i] & ~inside[graph.col_indices]
-    return float(graph.weights[mask].sum())
+    w = graph.adjacency
+    mask = inside[graph.row_index()] & ~inside[w.indices]
+    return float(w.data[mask].sum())
 
 
 def volume(graph: SparseGraph, subset) -> float:
@@ -290,10 +276,9 @@ def graph_tv(graph: SparseGraph, u) -> float:
         raise ValueError(
             f"assignment has {u.shape[0]} rows for a graph with {graph.n_nodes} nodes"
         )
-    i = graph.row_index()
-    diffs = np.abs(u[i] - u[graph.col_indices])
-    return 0.5 * float(graph.weights @ diffs.sum(axis=1) if u.shape[1] > 1
-                       else graph.weights @ diffs[:, 0])
+    w = graph.adjacency
+    diffs = np.abs(u[graph.row_index()] - u[w.indices])
+    return 0.5 * float(w.data @ diffs.sum(axis=1))
 
 
 def _community_sums(graph: SparseGraph, labels: np.ndarray):
@@ -303,9 +288,9 @@ def _community_sums(graph: SparseGraph, labels: np.ndarray):
         raise ValueError("label vector length must equal the node count")
     if labels.size and labels.min() < 0:
         raise ValueError("labels must be nonnegative")
-    i = graph.row_index()
-    same = labels[i] == labels[graph.col_indices]
-    w_in = float(graph.weights[same].sum())
+    w = graph.adjacency
+    same = labels[graph.row_index()] == labels[w.indices]
+    w_in = float(w.data[same].sum())
     vols = np.bincount(labels, weights=graph.degrees)
     return w_in, vols
 

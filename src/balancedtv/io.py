@@ -78,12 +78,11 @@ def load_edge_list(path) -> SparseGraph:
 
 def save_edge_list(path, graph: SparseGraph) -> None:
     """Write one line per undirected edge (upper triangle of W)."""
-    i = graph.row_index()
-    j = graph.col_indices
+    i, j = graph.row_index(), graph.adjacency.indices
     upper = i < j
     with open(path, "w") as fh:
         fh.write("# i j w\n")
-        for a, b, w in zip(i[upper], j[upper], graph.weights[upper]):
+        for a, b, w in zip(i[upper], j[upper], graph.adjacency.data[upper]):
             fh.write(f"{a} {b} {float(w)!r}\n")
 
 

@@ -3,7 +3,7 @@
 One sweep alternates three substeps: pseudospectral diffusion under
 exp(-dt*M) restricted to the retained eigenbasis, an exact pointwise
 relaxation toward supervised targets when a fidelity term is present, and a
-row-wise threshold back to one-hot assignments.  The timestep is picked
+row-wise argmax threshold back to a label vector.  The timestep is picked
 automatically as the geometric mean of a freezing lower bound and a spectral
 decay upper bound, and a refinement phase continues from the fixed point with
 a smaller timestep.
@@ -138,39 +138,31 @@ def fidelity_step(u: np.ndarray, supervision: Supervision, dt: float) -> np.ndar
 
 
 def threshold(u: np.ndarray) -> np.ndarray:
-    """Row-wise one-hot at the argmax; ties go to the lowest column index."""
-    return _threshold_with_labels(u)[0]
-
-
-def _threshold_with_labels(u):
-    """``threshold(u)`` together with the argmax labels it placed."""
+    """Row-wise argmax labels of an N x nhat matrix; ties go to the lowest
+    column index."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] < 1:
         raise ValueError("threshold expects an N x nhat matrix")
     if np.isnan(u).any():
         raise ValueError("NaN entry in assignment matrix")
-    labels = np.argmax(u, axis=1)
-    out = np.zeros_like(u)
-    out[np.arange(u.shape[0]), labels] = 1.0
-    return out, labels
+    return np.argmax(u, axis=1)
 
 
-def _sweep_to_fixed_point(basis, u, labels, dt, supervision, history):
-    """Threshold dynamics from the one-hot ``u`` of ``labels`` until the
-    partition repeats or MAX_ITERS sweeps pass; returns (u, labels,
-    iterations, converged) and, when ``history`` is a list, appends each
-    iterate's labels to it."""
+def _sweep_to_fixed_point(basis, labels, nhat, dt, supervision, history):
+    """Threshold dynamics from ``labels`` until the partition repeats or
+    MAX_ITERS sweeps pass; returns (labels, iterations, converged) and, when
+    ``history`` is a list, appends each iterate's labels to it."""
     for iteration in range(1, MAX_ITERS + 1):
-        u_half = diffuse(basis, u, dt)
+        u_half = diffuse(basis, labels_to_matrix(labels, nhat), dt)
         if supervision is not None:
             u_half = fidelity_step(u_half, supervision, dt)
-        u_next, labels_next = _threshold_with_labels(u_half)
+        labels_next = threshold(u_half)
         if history is not None:
             history.append(labels_next)
         if np.array_equal(labels_next, labels):
-            return u_next, labels_next, iteration, True
-        u, labels = u_next, labels_next
-    return u, labels, MAX_ITERS, False
+            return labels_next, iteration, True
+        labels = labels_next
+    return labels, MAX_ITERS, False
 
 
 def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
@@ -205,16 +197,15 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
                              f"got shape {labels.shape} of {labels.dtype}")
         if np.any((labels < 0) | (labels >= config.nhat)):
             raise ValueError(f"init: labels must lie in [0, {config.nhat})")
-    u = labels_to_matrix(labels, config.nhat)
     dt = select_timestep(basis, graph, config)
 
     history = [] if trace else None
-    u, labels, iters, converged = _sweep_to_fixed_point(
-        basis, u, labels, dt, supervision, history
+    labels, iters, converged = _sweep_to_fixed_point(
+        basis, labels, config.nhat, dt, supervision, history
     )
     if converged:
-        _, labels, extra, converged = _sweep_to_fixed_point(
-            basis, u, labels, dt * REFINE_FACTOR, supervision, history
+        labels, extra, converged = _sweep_to_fixed_point(
+            basis, labels, config.nhat, dt * REFINE_FACTOR, supervision, history
         )
         iters += extra
 

@@ -126,8 +126,8 @@ def sweep_nhat(graph: SparseGraph, basis: EigenBasis, nhats, config: MboConfig,
     if supervision is not None:
         nhats = [nhat for nhat in nhats if nhat >= supervision.classes]
         if not nhats:
-            raise ValueError(f"--sweep: every count is below the {supervision.classes} "
-                             "classes of --supervision")
+            raise ValueError(f"nhats: every count is below the {supervision.classes} "
+                             "classes of the supervision labels")
     timesteps = _sweep_timesteps(graph, basis, config)
     best = None
     for nhat in nhats:

@@ -103,15 +103,19 @@ class TestKnnGraph:
         monkeypatch.setattr(build_mod, "KNN_BLOCK_BYTES", 8 * len(pts) * rows_per_block)
         blocked = knn_graph(pts, k=3, scaling_neighbor=2)
         assert one_block.adjacency[0, 38] == 1.0  # duplicates: d=0, weight 1
-        for field in ("row_offsets", "col_indices", "weights", "degrees"):
-            assert np.array_equal(getattr(blocked, field), getattr(one_block, field))
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(blocked.adjacency, field),
+                                  getattr(one_block.adjacency, field))
+        assert np.array_equal(blocked.degrees, one_block.degrees)
         assert blocked.total_weight == one_block.total_weight
 
     def test_parameter_validation(self):
         pts = np.zeros((5, 1))
-        with pytest.raises(ValueError):
-            knn_graph(pts, k=5)
-        with pytest.raises(ValueError):
+        # the scale defaults to k, so a bad k must not surface as a bad scale
+        for k in (0, -1, 5):
+            with pytest.raises(ValueError, match="^k must satisfy"):
+                knn_graph(pts, k=k)
+        with pytest.raises(ValueError, match="^scaling_neighbor must lie"):
             knn_graph(np.arange(5.0)[:, None], k=2, scaling_neighbor=3)
 
 

@@ -93,16 +93,19 @@ class TestSparseGraph:
             sub = g.subgraph(nodes)
             sorted_nodes = np.sort(nodes)
             ref = SparseGraph.from_scipy(g.adjacency[sorted_nodes][:, sorted_nodes])
-            for field in ("row_offsets", "col_indices", "weights", "degrees"):
-                a, b = getattr(sub, field), getattr(ref, field)
-                assert a.dtype == b.dtype and np.array_equal(a, b), field
+            pairs = [(getattr(sub.adjacency, f), getattr(ref.adjacency, f))
+                     for f in ("indptr", "indices", "data")]
+            for a, b in pairs + [(sub.degrees, ref.degrees)]:
+                assert a.dtype == b.dtype and np.array_equal(a, b)
             assert sub.n_nodes == ref.n_nodes == size
             assert sub.total_weight == ref.total_weight
             sub.validate()
 
     def test_immutability(self):
-        with pytest.raises(ValueError):
-            K3.weights[0] = 7.0
+        for arr in (K3.adjacency.indptr, K3.adjacency.indices, K3.adjacency.data,
+                    K3.degrees):
+            with pytest.raises(ValueError):
+                arr[0] = 7
 
 
 class TestPartitionViews:

@@ -36,12 +36,12 @@ MOONS_GAIN = 0.003    # best moons run must beat the truth by this much (measure
 
 def louvain_modularity(graph, gamma):
     """Modularity, by this package's definition, of networkx's Louvain partition."""
-    i, j = graph.row_index(), graph.col_indices
+    i, j = graph.row_index(), graph.adjacency.indices
     upper = i < j
     nxg = nx.Graph()
     nxg.add_nodes_from(range(graph.n_nodes))
     nxg.add_weighted_edges_from(zip(i[upper].tolist(), j[upper].tolist(),
-                                    graph.weights[upper].tolist()))
+                                    graph.adjacency.data[upper].tolist()))
     labels = np.empty(graph.n_nodes, dtype=np.int64)
     for label, members in enumerate(
             nx.community.louvain_communities(nxg, resolution=gamma, seed=0)):
