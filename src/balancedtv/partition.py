@@ -36,6 +36,7 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     if k >= n:
         return np.arange(n, dtype=np.int64) % k
 
+    sq_norms = np.sum(points**2, axis=1)[:, None]
     best_labels, best_inertia = None, np.inf
     for _ in range(KMEANS_RESTARTS):
         centers = np.empty((k, points.shape[1]))
@@ -51,20 +52,24 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
         labels = np.zeros(n, dtype=np.int64)
         for _ in range(KMEANS_MAX_ITER):
-            dists = (
-                np.sum(points**2, axis=1)[:, None]
-                - 2.0 * points @ centers.T
-                + np.sum(centers**2, axis=1)[None, :]
-            )
+            dists = sq_norms - 2.0 * points @ centers.T + np.sum(centers**2, axis=1)[None, :]
             new_labels = np.argmin(dists, axis=1)
-            for c in range(k):
-                members = new_labels == c
-                if members.any():
-                    centers[c] = points[members].mean(axis=0)
-                else:
-                    farthest = np.argmax(np.min(dists, axis=1))
-                    centers[c] = points[farthest]
-                    new_labels[farthest] = c
+            counts = np.bincount(new_labels, minlength=k)
+            if counts.all():
+                # bincount sums members in index order, as mean(axis=0) does,
+                # so the centres are the same floats
+                for j in range(points.shape[1]):
+                    centers[:, j] = np.bincount(new_labels, weights=points[:, j],
+                                                minlength=k) / counts
+            else:
+                for c in range(k):
+                    members = new_labels == c
+                    if members.any():
+                        centers[c] = points[members].mean(axis=0)
+                    else:
+                        farthest = np.argmax(np.min(dists, axis=1))
+                        centers[c] = points[farthest]
+                        new_labels[farthest] = c
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels

@@ -316,7 +316,7 @@ class TestEndToEnd:
             "--truth", str(truth), "--out", str(tmp_path / "swp"),
         ]) == 0
 
-    @pytest.mark.parametrize("neig,asked", [(None, 20), ("3", 3), ("25", 25)])
+    @pytest.mark.parametrize("neig,asked", [(None, 8), ("3", 3), ("25", 25)])
     def test_sweep_basis_size_follows_neig(self, tmp_path, monkeypatch, neig, asked):
         import balancedtv.cli as cli_mod
 

@@ -17,12 +17,14 @@ from balancedtv import (
     smallest_eigenpairs,
     sweep_nhat,
 )
+from balancedtv.partition import KMEANS_MAX_ITER, KMEANS_RESTARTS, _kmeans_labels
 from conftest import complete_graph, random_graph, two_cliques
 
 
 def sweep_basis(graph, max_nhat, seed=0):
-    """A basis of 5 * max_nhat pairs (capped at N), sized as the CLI sizes a
-    sweep's."""
+    """A basis of 5 * max_nhat pairs (capped at N).  That is more than the
+    CLI's sweep default of 2 * MAX: at 2 * max_nhat, two_cliques(5) would get
+    an 8-pair basis that splits a repeated eigenvalue and warns."""
     return smallest_eigenpairs(
         DiffusionOperator(graph, 1.0), min(5 * max_nhat, graph.n_nodes), seed=seed
     )
@@ -73,6 +75,64 @@ class TestKmeansInit:
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 2)
         with pytest.raises(ValueError, match="eigenvectors"):
             kmeans_init(basis, 3)
+
+    # with fewer distinct points than clusters, duplicate centres leave
+    # clusters empty and the centre update falls back to the per-cluster loop
+    @pytest.mark.parametrize("n,k,distinct", [
+        (7, 2, None), (200, 3, None), (1500, 10, None), (3000, 6, None),
+        (12, 4, 2), (400, 9, 3),
+    ])
+    def test_matches_per_cluster_mean_loop(self, n, k, distinct):
+        rng = np.random.default_rng(n * k)
+        points = rng.standard_normal((n if distinct is None else distinct, k))
+        if distinct is not None:
+            points = points[rng.integers(distinct, size=n)]
+        empties = []
+        expected = loop_kmeans(points, k, np.random.default_rng(3), empties)
+        assert np.array_equal(_kmeans_labels(points, k, np.random.default_rng(3)), expected)
+        assert bool(empties) == (distinct is not None)
+
+
+def loop_kmeans(points, k, rng, empties):
+    """``_kmeans_labels`` with the centre update as one ``mean(axis=0)`` per
+    cluster; appends to ``empties`` each time a Lloyd step empties a cluster."""
+    n = points.shape[0]
+    best_labels, best_inertia = None, np.inf
+    for _ in range(KMEANS_RESTARTS):
+        centers = np.empty((k, points.shape[1]))
+        centers[0] = points[rng.integers(n)]
+        dist_sq = np.sum((points - centers[0]) ** 2, axis=1)
+        for c in range(1, k):
+            total = dist_sq.sum()
+            if total <= 0:
+                centers[c] = points[rng.integers(n)]
+                continue
+            centers[c] = points[rng.choice(n, p=dist_sq / total)]
+            dist_sq = np.minimum(dist_sq, np.sum((points - centers[c]) ** 2, axis=1))
+        labels = np.zeros(n, dtype=np.int64)
+        for _ in range(KMEANS_MAX_ITER):
+            dists = (np.sum(points**2, axis=1)[:, None] - 2.0 * points @ centers.T
+                     + np.sum(centers**2, axis=1)[None, :])
+            new_labels = np.argmin(dists, axis=1)
+            for c in range(k):
+                members = new_labels == c
+                if members.any():
+                    centers[c] = points[members].mean(axis=0)
+                else:
+                    empties.append(c)
+                    farthest = np.argmax(np.min(dists, axis=1))
+                    centers[c] = points[farthest]
+                    new_labels[farthest] = c
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        for c in range(k):
+            if not np.any(labels == c):
+                labels[rng.integers(n)] = c
+        inertia = float(np.sum((points - centers[labels]) ** 2))
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels.copy(), inertia
+    return best_labels
 
 
 class TestSweep:
