@@ -14,7 +14,6 @@ import numpy as np
 from balancedtv import (
     DiffusionOperator,
     MboConfig,
-    RunBatch,
     Supervision,
     classification_rate,
     consistency,
@@ -36,8 +35,7 @@ def run_batch(graph, basis, truth, gamma, seeds, supervision=None):
         times.append(1000.0 * (time.perf_counter() - start))
         modularities.append(result.modularity)
         classifications.append(classification_rate(result.labels, truth))
-    batch = RunBatch(np.array(modularities), np.array(classifications))
-    return batch, times
+    return np.array(modularities), np.array(classifications), times
 
 
 def main():
@@ -61,10 +59,10 @@ def main():
           f"(setup {time.perf_counter() - start:.2f}s)")
 
     seeds = range(args.seed, args.seed + args.runs)
-    unsup, times = run_batch(graph, basis, truth, args.gamma, seeds)
-    print(f"unsupervised: best modularity {unsup.modularity.max():.4f}, "
-          f"best classification {unsup.classification.max():.4f}, "
-          f"classification consistency {consistency(unsup, 'classification'):.2f}, "
+    mods, classes, times = run_batch(graph, basis, truth, args.gamma, seeds)
+    print(f"unsupervised: best modularity {mods.max():.4f}, "
+          f"best classification {classes.max():.4f}, "
+          f"classification consistency {consistency(classes):.2f}, "
           f"median time {statistics.median(times):.0f} ms")
 
     rng = np.random.default_rng(args.seed)
@@ -72,11 +70,11 @@ def main():
                         size=int(args.supervised_fraction * graph.n_nodes),
                         replace=False)
     sup = Supervision(picked, truth[picked], args.supervision_weight)
-    supervised, times = run_batch(graph, basis, truth, args.gamma, seeds, sup)
+    mods, classes, times = run_batch(graph, basis, truth, args.gamma, seeds, sup)
     print(f"{args.supervised_fraction:.0%} supervised: "
-          f"best modularity {supervised.modularity.max():.4f}, "
-          f"best classification {supervised.classification.max():.4f}, "
-          f"classification consistency {consistency(supervised, 'classification'):.2f}, "
+          f"best modularity {mods.max():.4f}, "
+          f"best classification {classes.max():.4f}, "
+          f"classification consistency {consistency(classes):.2f}, "
           f"median time {statistics.median(times):.0f} ms")
 
 

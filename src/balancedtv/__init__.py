@@ -41,7 +41,7 @@ from .mbo import (
     threshold,
     timestep_bounds,
 )
-from .metrics import RunBatch, classification_rate, consistency, purity
+from .metrics import classification_rate, consistency, purity
 from .partition import kmeans_init, recursive_partition, sweep_nhat
 
 __version__ = "0.1.0"

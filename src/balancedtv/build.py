@@ -83,16 +83,15 @@ def _knn_distances(features: np.ndarray, k: int):
     return dist, idx
 
 
-def knn_graph(features, k: int, scaling_neighbor: int | None = None) -> SparseGraph:
+def knn_graph(features, k: int) -> SparseGraph:
     """Self-tuning Gaussian k-nearest-neighbors graph.
 
     w_ij = exp(-d(i,j)^2 / (sigma_i sigma_j)) with sigma_i the distance from
-    point i to its ``scaling_neighbor``-th nearest neighbor (default: the
-    k-th).  An edge is kept when either endpoint lists the other among its k
-    nearest neighbors (union symmetrization, realized as an elementwise max).
+    point i to its k-th nearest neighbor.  An edge is kept when either
+    endpoint lists the other among its k nearest neighbors (union
+    symmetrization, realized as an elementwise max).
 
-    Points with sigma_i = 0 (duplicates) fall back to their smallest positive
-    neighbor distance; a point whose k nearest neighbors are all coincident
+    A point whose k nearest neighbors all coincide with it (sigma_i = 0)
     raises ValueError.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -101,23 +100,16 @@ def knn_graph(features, k: int, scaling_neighbor: int | None = None) -> SparseGr
     n = features.shape[0]
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k < n_points")
-    if scaling_neighbor is None:
-        scaling_neighbor = k
-    if not 1 <= scaling_neighbor <= k:
-        raise ValueError("scaling_neighbor must lie in [1, k]")
 
     dist, idx = _knn_distances(features, k)
-    sigma = dist[:, scaling_neighbor - 1].copy()
-    degenerate = sigma <= 0.0
-    if np.any(degenerate):
-        for i in np.nonzero(degenerate)[0]:
-            positive = dist[i][dist[i] > 0.0]
-            if positive.size == 0:
-                raise ValueError(
-                    f"point {i}: all {k} nearest neighbors coincide with it; "
-                    "remove duplicate points"
-                )
-            sigma[i] = positive[0]
+    sigma = dist[:, k - 1]
+    # each row of dist is sorted, so a zero k-th distance makes all k zero
+    coincident = np.flatnonzero(sigma <= 0.0)
+    if coincident.size:
+        raise ValueError(
+            f"point {coincident[0]}: all {k} nearest neighbors coincide with it; "
+            "remove duplicate points"
+        )
 
     rows = np.repeat(np.arange(n, dtype=np.int64), k)
     cols = idx.ravel()

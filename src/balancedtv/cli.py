@@ -22,7 +22,7 @@ from .build import knn_graph, planted_partition, two_moons
 from .eigen import DiffusionOperator, smallest_eigenpairs
 from .graph import Supervision, modularity
 from .mbo import MboConfig, mbo_run
-from .metrics import RunBatch, classification_rate, consistency, purity
+from .metrics import CONSISTENCY_TOL, classification_rate, consistency, purity
 from .partition import recursive_partition, sweep_nhat
 
 __all__ = ["parse_args", "run", "main"]
@@ -30,17 +30,14 @@ __all__ = ["parse_args", "run", "main"]
 BATCH_HEADER = "seed,modularity,classification,wall_time_ms"
 # flags read only when another option is given, per command:
 # (flag, attribute, default, the enabling option's attribute, least valid value)
-KNN_FLAGS = (("--knn", "knn", 13, "features", 1),
-             ("--scaling-neighbor", "scaling_neighbor", None, "features", 1))
+KNN_FLAG = ("--knn", "knn", 13, "features", 1)
 DEPENDENT_FLAGS = {
-    "build-graph": KNN_FLAGS,
-    "partition": KNN_FLAGS + (
+    "build-graph": (KNN_FLAG,),
+    "partition": (
+        KNN_FLAG,
         ("--supervision-weight", "supervision_weight", 100.0, "supervision", None),
         ("--split-factor", "split_factor", 2, "recursive", 2),
-        ("--min-size", "min_size", 4, "recursive", 2),
-        ("--gain-tol", "gain_tol", 1e-10, "recursive", 0),
     ),
-    "metrics": (("--tol", "tol", 0.02, "batch", None),),
 }
 
 
@@ -80,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for knn_user in (build, part):
         knn_user.add_argument("--knn", type=int, metavar="K",
                               help="default 13; only with --features")
-        knn_user.add_argument("--scaling-neighbor", type=int, metavar="S",
-                              help="self-tuning scale neighbor (default K); only with --features")
     part.add_argument("--gamma", type=float, default=1.0)
     strat = part.add_mutually_exclusive_group(required=True)
     strat.add_argument("--nhat", type=int, help="fixed community count")
@@ -91,14 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recursive splitting gated on modularity gain")
     part.add_argument("--split-factor", type=int,
                       help="parts per recursive split (default 2)")
-    part.add_argument("--min-size", type=int,
-                      help="smallest community a recursive run splits (default 4)")
-    part.add_argument("--gain-tol", type=float,
-                      help="modularity gain a recursive split must exceed (default 1e-10)")
     part.add_argument("--neig", type=int,
                       help="eigenpairs to retain (default 5*nhat, or 2*MAX with "
                            "--sweep); not with --recursive")
-    part.add_argument("--dt", type=float, help="explicit timestep override")
     part.add_argument("--seed", type=int, default=0)
     part.add_argument("--repeat", type=int, default=1)
     part.add_argument("--supervision", help="CSV node,label of known labels")
@@ -114,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     met.add_argument("--pred", required=True)
     met.add_argument("--truth", required=True)
     met.add_argument("--batch", help="batch CSV from a partition run")
-    met.add_argument("--tol", type=float, help="default 0.02; only with --batch")
     return parser
 
 
@@ -145,9 +134,6 @@ def parse_args(argv) -> argparse.Namespace:
         elif least is not None and not value >= least:
             parser.error(f"{flag}: must be at least {least}")
     # k < N is left to the run: it needs the feature file
-    scaling = getattr(options, "scaling_neighbor", None)
-    if scaling is not None and scaling > options.knn:
-        parser.error(f"--scaling-neighbor: must not exceed --knn ({options.knn})")
 
     if options.command == "partition":
         if options.neig is not None and options.neig < 1:
@@ -174,9 +160,8 @@ def parse_args(argv) -> argparse.Namespace:
                 parser.error("--nhat: must be at least 1")
             nhat = options.nhat
         try:
-            options.mbo_config = MboConfig(
-                gamma=options.gamma, nhat=nhat, dt=options.dt, seed=options.seed
-            )
+            options.mbo_config = MboConfig(gamma=options.gamma, nhat=nhat,
+                                           seed=options.seed)
         except ValueError as exc:
             parser.error(str(exc))
     return options
@@ -186,14 +171,14 @@ def _load_graph(options):
     if getattr(options, "edges", None):
         return io.load_edge_list(options.edges)
     features = io.load_features(options.features)
-    return knn_graph(features, options.knn, options.scaling_neighbor)
+    return knn_graph(features, options.knn)
 
 
 def _partition_once(graph, basis, options, config, supervision, seed):
     seeded = replace(config, seed=seed)
     start = time.perf_counter()
     if options.recursive:
-        labels = recursive_partition(graph, seeded, options.min_size, options.gain_tol)
+        labels = recursive_partition(graph, seeded)
         q = modularity(graph, labels, config.gamma)
         result = None
     else:
@@ -211,14 +196,17 @@ def _run_partition(options) -> int:
     graph = _load_graph(options)
     truth = io.load_labels(options.truth) if options.truth else None
     if truth is not None and truth.size != graph.n_nodes:
-        raise ValueError(
-            f"truth file covers {truth.size} nodes, graph has {graph.n_nodes}"
-        )
+        raise ValueError(f"--truth {options.truth}: covers {truth.size} nodes, "
+                         f"graph has {graph.n_nodes}")
 
     supervision = None
     if options.supervision:
-        supervision = Supervision(*io.load_label_pairs(options.supervision),
-                                  options.supervision_weight)
+        nodes, labels = io.load_label_pairs(options.supervision)
+        outside = nodes[nodes >= graph.n_nodes]
+        if outside.size:
+            raise ValueError(f"--supervision {options.supervision}: node {outside[0]} "
+                             f"is not in the graph of {graph.n_nodes} nodes")
+        supervision = Supervision(nodes, labels, options.supervision_weight)
         if supervision.classes > config.nhat:
             flag = "--sweep" if options.sweep else "--nhat"
             raise ValueError(f"{flag}: at most {config.nhat} communities, fewer "
@@ -299,8 +287,9 @@ def _run_build_graph(options) -> int:
     return 0
 
 
-def _load_batch(path) -> RunBatch:
-    """Read the ``<out>_batch.csv`` that ``partition`` writes."""
+def _load_batch(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read the ``<out>_batch.csv`` that ``partition`` writes: its modularity
+    column and its classification column, empty when no run was scored."""
     mods, classes = [], []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -327,21 +316,19 @@ def _load_batch(path) -> RunBatch:
                 raise ValueError(f"{path}: line {lineno}: classification on some rows only")
     if not mods:
         raise ValueError(f"{path}: no runs after the header")
-    return RunBatch(np.array(mods), np.array(classes))
+    return np.array(mods), np.array(classes)
 
 
 def _run_metrics(options) -> int:
     pred = io.load_labels(options.pred)
     truth = io.load_labels(options.truth)
-    batch = _load_batch(options.batch) if options.batch else None
+    batch = _load_batch(options.batch) if options.batch else ()
     print(f"purity: {purity(pred, truth):.6f}")
     print(f"classification: {classification_rate(pred, truth):.6f}")
-    if batch is not None:
-        print(f"modularity consistency (tol {options.tol}): "
-              f"{consistency(batch, 'modularity', options.tol):.6f}")
-        if batch.classification.size:
-            print(f"classification consistency (tol {options.tol}): "
-                  f"{consistency(batch, 'classification', options.tol):.6f}")
+    for name, values in zip(("modularity", "classification"), batch):
+        if values.size:
+            print(f"{name} consistency (tol {CONSISTENCY_TOL}): "
+                  f"{consistency(values):.6f}")
     return 0
 
 

@@ -372,8 +372,8 @@ def gl_energy(graph: SparseGraph, u, gamma: float, epsilon: float) -> float:
     """Ginzburg-Landau diagnostic energy.
 
     trace(u^T L u) + (1/eps) sum_i P(u_i) + (g/2m) ||k^T u||_2^2 with the
-    multiwell potential P above.  Used to monitor runs; never optimized
-    directly.
+    multiwell potential P above.  A diagnostic that the tests check; no
+    solver path computes or optimizes it.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

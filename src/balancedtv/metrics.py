@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["purity", "classification_rate", "RunBatch", "consistency"]
+__all__ = ["purity", "classification_rate", "consistency"]
 
 EXHAUSTIVE_LIMIT = 6
 ASSIGNMENT_LIMIT = 12
+CONSISTENCY_TOL = 0.02  # a run counts as consistent within this share of the best
 
 
 def _contingency(predicted, truth):
@@ -63,32 +63,13 @@ def classification_rate(predicted, truth) -> float:
     return purity(predicted, truth)
 
 
-@dataclass(frozen=True)
-class RunBatch:
-    """Per-seed (modularity, classification) pairs from repeated runs."""
-
-    modularity: np.ndarray
-    classification: np.ndarray
-
-    def __post_init__(self):
-        mod = np.asarray(self.modularity, dtype=np.float64).ravel()
-        cls = np.asarray(self.classification, dtype=np.float64).ravel()
-        if mod.size == 0:
-            raise ValueError("batch must contain at least one run")
-        if cls.size not in (0, mod.size):
-            raise ValueError("classification values must match run count (or be absent)")
-        if not np.all(np.isfinite(mod)) or not np.all(np.isfinite(cls)):
-            raise ValueError("batch values must be finite")
-        object.__setattr__(self, "modularity", mod)
-        object.__setattr__(self, "classification", cls)
-
-
-def consistency(batch: RunBatch, field: str = "modularity", tol: float = 0.02) -> float:
-    """Fraction of runs whose value reaches (1 - tol) times the best run's."""
-    if field not in ("modularity", "classification"):
-        raise ValueError(f"unknown batch field {field!r}")
-    values = getattr(batch, field)
+def consistency(values) -> float:
+    """Fraction of runs whose value reaches (1 - CONSISTENCY_TOL) times the
+    best run's, over one value per run."""
+    values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
-        raise ValueError(f"batch has no {field} values")
+        raise ValueError("consistency needs at least one run")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("consistency values must be finite")
     best = values.max()
-    return float(np.mean(values >= (1.0 - tol) * best))
+    return float(np.mean(values >= (1.0 - CONSISTENCY_TOL) * best))

@@ -4,7 +4,7 @@ Three policies: a fixed count (a plain ``mbo_run`` with ``MboConfig.nhat``
 communities), a modularity-maximizing sweep over a range of counts that
 reuses a single eigenbasis, and recursive splitting gated on full-graph
 modularity gain, whose split factor is ``MboConfig.nhat``.  Also provides the
-k-means-on-eigenvectors initialization used to seed runs.
+k-means-on-eigenvectors initialization that seeds each recursive split.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ __all__ = ["kmeans_init", "sweep_nhat", "recursive_partition"]
 DT_LADDER = 8  # rungs of the geometric timestep ladder a sweep tries per count
 KMEANS_RESTARTS = 4  # k-means++ seedings per kmeans_init, best inertia kept
 KMEANS_MAX_ITER = 100  # Lloyd iterations per restart
+MIN_SPLIT_SIZE = 4  # smallest community a recursive run splits, unless nhat is larger
+GAIN_TOL = 1e-10  # full-graph modularity gain a recursive split must exceed
 
 
 def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,24 +146,22 @@ def sweep_nhat(graph: SparseGraph, basis: EigenBasis, nhats, config: MboConfig,
     return best
 
 
-def recursive_partition(graph: SparseGraph, config: MboConfig,
-                        min_size: int = 4, gain_tol: float = 1e-10) -> np.ndarray:
+def recursive_partition(graph: SparseGraph, config: MboConfig) -> np.ndarray:
     """Recursively split communities while full-graph modularity increases.
 
-    Starts from a single community.  Each community of at least ``min_size``
-    nodes is split by an MBO run on its induced subgraph (own operator and
-    eigenbasis, k-means initialization) into at most ``config.nhat`` parts,
-    the split factor; the split is kept only if modularity of the whole
-    graph, with the original degrees and total weight, increases by more
-    than ``gain_tol``.  Accepted parts are revisited until no community
-    admits a profitable split.  Returns contiguous labels.
+    Starts from a single community.  Each community of at least
+    ``max(MIN_SPLIT_SIZE, config.nhat)`` nodes is split by an MBO run on its
+    induced subgraph (own operator and eigenbasis, k-means initialization)
+    into at most ``config.nhat`` parts, the split factor; the split is kept
+    only if modularity of the whole graph, with the original degrees and
+    total weight, increases by more than GAIN_TOL.  Accepted parts are
+    revisited until no community admits a profitable split.  Returns
+    contiguous labels.
     """
     if config.nhat < 2:
         raise ValueError("split factor (config.nhat) must be at least 2")
-    if min_size < 2:
-        raise ValueError("min_size must be at least 2")
-    if not gain_tol >= 0:
-        raise ValueError("gain_tol must be nonnegative")
+    # k-means on a smaller community's basis would have fewer columns than parts
+    min_size = max(MIN_SPLIT_SIZE, config.nhat)
     gamma = config.gamma
     labels = np.zeros(graph.n_nodes, dtype=np.int64)
     current_q = modularity(graph, labels, gamma)
@@ -192,7 +192,7 @@ def recursive_partition(graph: SparseGraph, config: MboConfig,
             candidate[members[result.labels == part]] = next_label
             next_label += 1
         candidate_q = modularity(graph, candidate, gamma)
-        if candidate_q > current_q + gain_tol:
+        if candidate_q > current_q + GAIN_TOL:
             labels = candidate
             current_q = candidate_q
             for part in parts:

@@ -59,7 +59,7 @@ class TestTwoMoons:
 class TestKnnGraph:
     def test_three_collinear_points(self):
         pts = np.array([[0.0], [1.0], [3.0]])
-        g = knn_graph(pts, k=1, scaling_neighbor=1)
+        g = knn_graph(pts, k=1)
         w = g.adjacency.toarray()
         # sigma = (1, 1, 2); weights exp(-1/(1*1)) and exp(-4/(1*2))
         assert w[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
@@ -81,15 +81,12 @@ class TestKnnGraph:
         dense = g.adjacency.toarray()
         assert np.allclose(g_perm.adjacency.toarray(), dense[np.ix_(perm, perm)])
 
-    def test_duplicate_points_fallback(self):
-        pts = np.array([[0.0], [0.0], [1.0]])
-        g = knn_graph(pts, k=2, scaling_neighbor=1)
-        g.validate()
-        assert g.adjacency[0, 1] == pytest.approx(1.0)  # d=0 between duplicates
-
     def test_all_coincident_raises(self):
         pts = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="coincide"):
+        with pytest.raises(ValueError, match="^point 0: all 2 nearest neighbors coincide"):
+            knn_graph(pts, k=2)
+        pts[0] = 1.0  # the first point whose k nearest neighbors coincide is 1
+        with pytest.raises(ValueError, match="^point 1: all 2 nearest neighbors coincide"):
             knn_graph(pts, k=2)
 
     @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
@@ -99,9 +96,9 @@ class TestKnnGraph:
         grid = rng.choice(20**3, size=40, replace=False)
         pts = np.stack(np.unravel_index(grid, (20, 20, 20)), axis=1).astype(float)
         pts[38:] = pts[0]  # point 0's two nearest neighbors coincide with it
-        one_block = knn_graph(pts, k=3, scaling_neighbor=2)
+        one_block = knn_graph(pts, k=3)
         monkeypatch.setattr(build_mod, "KNN_BLOCK_BYTES", 8 * len(pts) * rows_per_block)
-        blocked = knn_graph(pts, k=3, scaling_neighbor=2)
+        blocked = knn_graph(pts, k=3)
         assert one_block.adjacency[0, 38] == 1.0  # duplicates: d=0, weight 1
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(blocked.adjacency, field),
@@ -111,12 +108,9 @@ class TestKnnGraph:
 
     def test_parameter_validation(self):
         pts = np.zeros((5, 1))
-        # the scale defaults to k, so a bad k must not surface as a bad scale
         for k in (0, -1, 5):
             with pytest.raises(ValueError, match="^k must satisfy"):
                 knn_graph(pts, k=k)
-        with pytest.raises(ValueError, match="^scaling_neighbor must lie"):
-            knn_graph(np.arange(5.0)[:, None], k=2, scaling_neighbor=3)
 
 
 class TestPlantedPartition:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,6 @@ from conftest import two_cliques
 KNN_RANGE_ERRORS = [
     (["--knn", "0"], "--knn"),
     (["--knn", "-3"], "--knn"),
-    (["--scaling-neighbor", "0"], "--scaling-neighbor"),
-    (["--knn", "5", "--scaling-neighbor", "9"], "--scaling-neighbor"),
-    (["--scaling-neighbor", "14"], "--scaling-neighbor"),  # above the default 13
 ]
 
 
@@ -121,22 +119,43 @@ class TestParseArgs:
         err = capsys.readouterr().err
         assert "--trace" in err and "--recursive" in err
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--split-factor", "1"), ("--min-size", "1"), ("--gain-tol", "-1"),
-        ("--gain-tol", "nan"),
-    ])
-    def test_bad_recursive_flag_named(self, tmp_path, capsys, flag, value):
+    def test_bad_split_factor_named(self, tmp_path, capsys):
         edges = write_cliques(tmp_path)
         with pytest.raises(SystemExit) as exc:
             parse_args(["partition", "--edges", str(edges), "--recursive",
-                        flag, value, "--out", "x"])
+                        "--split-factor", "1", "--out", "x"])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert "--split-factor: must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,removed", [
+        ("partition --features IN --recursive --out x", "--min-size 10"),
+        ("partition --features IN --recursive --out x", "--gain-tol 1e-8"),
+        ("partition --features IN --nhat 2 --out x", "--dt 0.1"),
+        ("partition --features IN --nhat 2 --knn 2 --out x", "--scaling-neighbor 1"),
+        ("build-graph --features IN --out x", "--scaling-neighbor 1"),
+        ("metrics --pred IN --truth IN --batch IN", "--tol 0.02"),
+    ])
+    def test_removed_flag_is_unknown(self, tmp_path, capsys, argv, removed):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n1,1\n2,2\n")
+        args = [str(pts) if arg == "IN" else arg for arg in argv.split()]
+        with pytest.raises(SystemExit) as exc:
+            parse_args(args + removed.split())
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,count", [
+        ("partition", 16), ("build-graph", 3), ("metrics", 3),
+    ])
+    def test_help_lists_settable_flags(self, capsys, command, count):
+        with pytest.raises(SystemExit) as exc:
+            parse_args([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert len(set(re.findall(r"--[\w-]+", usage))) == count
 
     @pytest.mark.parametrize("strategy,flag,value", [
         (["--nhat", "4"], "--split-factor", "7"),
-        (["--nhat", "4"], "--min-size", "99"),
-        (["--sweep", "2..4"], "--gain-tol", "0.1"),
         (["--recursive"], "--neig", "3"),
     ])
     def test_flag_unused_by_strategy_rejected(self, tmp_path, capsys,
@@ -159,7 +178,6 @@ class TestParseArgs:
 
     @pytest.mark.parametrize("flag,value,needs", [
         ("--knn", "5", "--features"),
-        ("--scaling-neighbor", "3", "--features"),
         ("--supervision-weight", "5", "--supervision"),
     ])
     def test_partition_flag_without_its_option_rejected(self, tmp_path, capsys,
@@ -192,15 +210,6 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert f"error: {named}: must" in capsys.readouterr().err
 
-    def test_tol_without_batch_rejected(self, tmp_path, capsys):
-        pred = tmp_path / "pred.csv"
-        save_labels(pred, [0, 1])
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["metrics", "--pred", str(pred), "--truth", str(pred),
-                        "--tol", "0.5"])
-        assert exc.value.code == 2
-        assert "--tol: only used with --batch" in capsys.readouterr().err
-
     def test_dependent_defaults_resolved(self, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("0,0\n1,1\n")
@@ -208,17 +217,13 @@ class TestParseArgs:
         sup.write_text("node,label\n0,0\n")
         options = parse_args(["partition", "--features", str(pts), "--nhat", "2",
                               "--supervision", str(sup), "--out", "x"])
-        assert (options.knn, options.scaling_neighbor, options.supervision_weight) == (
-            13, None, 100.0)
-        options = parse_args(["metrics", "--pred", str(sup), "--truth", str(sup),
-                              "--batch", str(sup)])
-        assert options.tol == 0.02
+        assert (options.knn, options.supervision_weight) == (13, 100.0)
 
     def test_recursive_defaults_resolved(self, tmp_path):
         edges = write_cliques(tmp_path)
         options = parse_args(["partition", "--edges", str(edges), "--recursive",
                               "--out", "x"])
-        assert (options.split_factor, options.min_size, options.gain_tol) == (2, 4, 1e-10)
+        assert options.split_factor == 2
 
 
 class TestEndToEnd:
@@ -400,6 +405,44 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert flag in err and "--supervision" in err and "4 classes" in err
 
+    def test_supervision_node_outside_graph_named_before_eigensolve(
+            self, tmp_path, capsys, monkeypatch):
+        import balancedtv.cli as cli_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve ran before the supervision check")
+
+        monkeypatch.setattr(cli_mod, "smallest_eigenpairs", no_solve)
+        edges = write_cliques(tmp_path)  # 10 nodes
+        sup = tmp_path / "sup.csv"
+        sup.write_text("node,label\n0,0\n12,1\n10,1\n")
+        code = main(["partition", "--edges", str(edges), "--nhat", "2",
+                     "--supervision", str(sup), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: --supervision {sup}: node 12 is not in the graph of 10 nodes" in (
+            capsys.readouterr().err)
+
+    def test_truth_length_mismatch_names_flag_and_file(self, tmp_path, capsys):
+        edges = write_cliques(tmp_path)  # 10 nodes
+        truth = tmp_path / "truth.csv"
+        save_labels(truth, np.zeros(9, dtype=np.int64))
+        code = main(["partition", "--edges", str(edges), "--nhat", "2",
+                     "--truth", str(truth), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: --truth {truth}: covers 9 nodes, graph has 10" in (
+            capsys.readouterr().err)
+
+    def test_recursive_split_factor_above_min_split_size(self, tmp_path):
+        # communities of 4 nodes used to be split into 5 parts, which their
+        # 4-vector basis cannot seed
+        edges = tmp_path / "planted.txt"
+        assert main(["generate", "planted", "--n", "600", "--communities", "6",
+                     "--seed", "0", "--out", str(edges)]) == 0
+        assert main(["partition", "--edges", str(edges), "--recursive",
+                     "--split-factor", "5", "--out", str(tmp_path / "rec5")]) == 0
+        labels = load_labels(tmp_path / "rec5_labels.csv")
+        assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+
     def test_non_convergence_reported(self, tmp_path, capsys, monkeypatch):
         import balancedtv.mbo as mbo_mod
 
@@ -448,10 +491,12 @@ class TestEndToEnd:
         )
         assert main([
             "metrics", "--pred", str(pred), "--truth", str(pred),
-            "--batch", str(batch), "--tol", "0.02",
+            "--batch", str(batch),
         ]) == 0
-        printed = capsys.readouterr().out
-        assert "modularity consistency" in printed
+        printed = capsys.readouterr().out.splitlines()
+        # within 2% of the best: 1 of 3 modularities, 2 of 3 classifications
+        assert printed[2:] == ["modularity consistency (tol 0.02): 0.333333",
+                               "classification consistency (tol 0.02): 0.666667"]
 
     @pytest.mark.parametrize("content,where", [
         ("node,modularity\n0,1.0\n", "expected header"),

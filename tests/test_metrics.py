@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balancedtv import RunBatch, classification_rate, consistency, purity
+from balancedtv import classification_rate, consistency, purity
 
 
 def exhaustive_rate_oracle(predicted, truth):
@@ -115,30 +115,16 @@ class TestClassificationRate:
 
 class TestConsistency:
     def test_all_equal(self):
-        batch = RunBatch(np.array([0.8, 0.8, 0.8]), np.array([]))
-        assert consistency(batch, "modularity", 0.02) == 1.0
+        assert consistency(np.array([0.8, 0.8, 0.8])) == 1.0
 
     def test_only_best_qualifies(self):
-        batch = RunBatch(np.array([1.0, 0.97, 0.5]), np.array([]))
-        assert consistency(batch, "modularity", 0.02) == pytest.approx(1 / 3)
+        assert consistency(np.array([1.0, 0.97, 0.5])) == pytest.approx(1 / 3)
 
-    def test_full_tolerance_accepts_everything(self):
-        batch = RunBatch(np.array([0.2, 0.9, 0.0]), np.array([]))
-        assert consistency(batch, "modularity", 1.0) == 1.0
+    def test_within_two_percent_of_best_qualifies(self):
+        assert consistency([0.99, 1.0, 0.985, 0.975]) == 0.75
 
-    def test_classification_field(self):
-        batch = RunBatch(np.array([0.5, 0.5]), np.array([0.99, 0.90]))
-        assert consistency(batch, "classification", 0.02) == 0.5
-
-    def test_rejects_unknown_field(self):
-        batch = RunBatch(np.array([1.0]), np.array([]))
-        with pytest.raises(ValueError, match="field"):
-            consistency(batch, "accuracy", 0.02)
-
-    def test_batch_validation(self):
-        with pytest.raises(ValueError):
-            RunBatch(np.array([]), np.array([]))
-        with pytest.raises(ValueError):
-            RunBatch(np.array([1.0, np.nan]), np.array([]))
-        with pytest.raises(ValueError):
-            RunBatch(np.array([1.0, 2.0]), np.array([0.5]))
+    def test_input_validation(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            consistency(np.array([]))
+        with pytest.raises(ValueError, match="finite"):
+            consistency(np.array([1.0, np.nan]))

@@ -1,14 +1,16 @@
 """Smoke tests: each example script runs to completion at a small size, and
-the README's library example runs as written."""
+the README's library and command-line examples run or parse as written."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import balancedtv
+from balancedtv.cli import parse_args
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -38,3 +40,32 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, README, "exec"), namespace)
     assert capsys.readouterr().out
+
+
+
+def readme_commands():
+    """Every ``balancedtv`` command in the README's sh blocks, joined across
+    backslash continuations."""
+    with open(README) as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("balancedtv ")]
+
+
+def test_readme_has_commands():
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=shlex.join)
+def test_readme_command_parses(tmp_path, monkeypatch, argv):
+    """The command passes the CLI's parser, with an empty file at each
+    ``.csv``/``.txt`` path it names."""
+    monkeypatch.chdir(tmp_path)
+    for arg in argv:
+        if re.fullmatch(r"[\w.-]+\.(csv|txt)", arg):
+            open(arg, "a").close()
+    try:
+        parse_args(argv[1:])
+    except SystemExit:
+        pytest.fail(f"README command does not parse: {shlex.join(argv)}")
