@@ -8,7 +8,7 @@ import argparse
 import time
 
 from balancedtv import (
-    MboConfig,
+    DiffusionOperator,
     modularity,
     planted_partition,
     purity,
@@ -34,12 +34,11 @@ def main():
     print(f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges, "
           f"{args.blocks} planted blocks")
 
+    op = DiffusionOperator(graph, args.gamma)
     best_purity, best_q, best_count = 0.0, -1.0, 0
     start = time.perf_counter()
     for seed in range(args.seed, args.seed + args.runs):
-        labels = recursive_partition(
-            graph, MboConfig(gamma=args.gamma, nhat=args.split_factor, seed=seed)
-        )
+        labels = recursive_partition(op, args.split_factor, seed=seed)
         q = modularity(graph, labels, args.gamma)
         p = purity(labels, truth)
         print(f"seed {seed}: {labels.max() + 1} communities, "

@@ -13,7 +13,6 @@ import numpy as np
 
 from balancedtv import (
     DiffusionOperator,
-    MboConfig,
     Supervision,
     classification_rate,
     consistency,
@@ -24,14 +23,11 @@ from balancedtv import (
 )
 
 
-def run_batch(graph, basis, truth, gamma, seeds, supervision=None):
+def run_batch(basis, truth, seeds, supervision=None):
     modularities, classifications, times = [], [], []
     for seed in seeds:
         start = time.perf_counter()
-        result = mbo_run(
-            graph, basis, MboConfig(gamma=gamma, nhat=2, seed=seed),
-            supervision=supervision,
-        )
+        result = mbo_run(basis, 2, seed=seed, supervision=supervision)
         times.append(1000.0 * (time.perf_counter() - start))
         modularities.append(result.modularity)
         classifications.append(classification_rate(result.labels, truth))
@@ -59,7 +55,7 @@ def main():
           f"(setup {time.perf_counter() - start:.2f}s)")
 
     seeds = range(args.seed, args.seed + args.runs)
-    mods, classes, times = run_batch(graph, basis, truth, args.gamma, seeds)
+    mods, classes, times = run_batch(basis, truth, seeds)
     print(f"unsupervised: best modularity {mods.max():.4f}, "
           f"best classification {classes.max():.4f}, "
           f"classification consistency {consistency(classes):.2f}, "
@@ -70,7 +66,7 @@ def main():
                         size=int(args.supervised_fraction * graph.n_nodes),
                         replace=False)
     sup = Supervision(picked, truth[picked], args.supervision_weight)
-    mods, classes, times = run_batch(graph, basis, truth, args.gamma, seeds, sup)
+    mods, classes, times = run_batch(basis, truth, seeds, sup)
     print(f"{args.supervised_fraction:.0%} supervised: "
           f"best modularity {mods.max():.4f}, "
           f"best classification {classes.max():.4f}, "

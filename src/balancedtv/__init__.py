@@ -32,7 +32,6 @@ from .io import (
     save_labels,
 )
 from .mbo import (
-    MboConfig,
     MboResult,
     diffuse,
     fidelity_step,

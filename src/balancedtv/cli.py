@@ -13,7 +13,6 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from . import io, mbo
 from .build import knn_graph, planted_partition, two_moons
 from .eigen import DiffusionOperator, smallest_eigenpairs
 from .graph import Supervision, modularity
-from .mbo import MboConfig, mbo_run
+from .mbo import mbo_run
 from .metrics import CONSISTENCY_TOL, classification_rate, consistency, purity
 from .partition import recursive_partition, sweep_nhat
 
@@ -35,7 +34,7 @@ DEPENDENT_FLAGS = {
     "build-graph": (KNN_FLAG,),
     "partition": (
         KNN_FLAG,
-        ("--supervision-weight", "supervision_weight", 100.0, "supervision", None),
+        ("--supervision-weight", "supervision_weight", 100.0, "supervision", 0),
         ("--split-factor", "split_factor", 2, "recursive", 2),
     ),
 }
@@ -86,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recursive splitting gated on modularity gain")
     part.add_argument("--split-factor", type=int,
                       help="parts per recursive split (default 2)")
-    part.add_argument("--neig", type=int,
-                      help="eigenpairs to retain (default 5*nhat, or 2*MAX with "
-                           "--sweep); not with --recursive")
     part.add_argument("--seed", type=int, default=0)
     part.add_argument("--repeat", type=int, default=1)
     part.add_argument("--supervision", help="CSV node,label of known labels")
@@ -108,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Resolve a command line into validated options; for ``partition`` the
-    solver settings are in ``options.mbo_config``.
+    """Resolve a command line into validated options; for ``partition`` a
+    ``--sweep`` range becomes a ``range``.
 
     Raises SystemExit(2) with a message naming the offending flag or file on
     any usage error.
@@ -131,21 +127,18 @@ def parse_args(argv) -> argparse.Namespace:
                 parser.error(f"{flag}: only used with --{needs}")
         elif value is None:
             setattr(options, attr, default)
-        elif least is not None and not value >= least:
+        elif least is not None and not value >= least:  # NaN fails too
             parser.error(f"{flag}: must be at least {least}")
     # k < N is left to the run: it needs the feature file
 
     if options.command == "partition":
-        if options.neig is not None and options.neig < 1:
-            parser.error("--neig: must be at least 1")
+        if not 0 < options.gamma < float("inf"):
+            parser.error("--gamma: must be positive and finite")
         if options.recursive:
             if options.supervision:
                 parser.error("--supervision: not supported with --recursive")
-            if options.neig is not None:
-                parser.error("--neig: not used with --recursive")
             if options.trace:
                 parser.error("--trace: not supported with --recursive")
-            nhat = options.split_factor
         elif options.sweep is not None:
             pieces = options.sweep.split("..")
             if len(pieces) != 2 or not all(p.isdigit() for p in pieces):
@@ -154,16 +147,8 @@ def parse_args(argv) -> argparse.Namespace:
             if not 1 <= lo <= hi:
                 parser.error("--sweep: need 1 <= MIN <= MAX")
             options.sweep = range(lo, hi + 1)
-            nhat = hi
-        else:
-            if options.nhat < 1:
-                parser.error("--nhat: must be at least 1")
-            nhat = options.nhat
-        try:
-            options.mbo_config = MboConfig(gamma=options.gamma, nhat=nhat,
-                                           seed=options.seed)
-        except ValueError as exc:
-            parser.error(str(exc))
+        elif options.nhat < 1:
+            parser.error("--nhat: must be at least 1")
     return options
 
 
@@ -171,28 +156,30 @@ def _load_graph(options):
     if getattr(options, "edges", None):
         return io.load_edge_list(options.edges)
     features = io.load_features(options.features)
-    return knn_graph(features, options.knn)
+    try:
+        return knn_graph(features, options.knn)
+    except ValueError as exc:
+        raise ValueError(f"--knn {options.knn} on --features {options.features}: "
+                         f"{exc}") from None
 
 
-def _partition_once(graph, basis, options, config, supervision, seed):
-    seeded = replace(config, seed=seed)
+def _partition_once(op, basis, options, supervision, seed):
     start = time.perf_counter()
     if options.recursive:
-        labels = recursive_partition(graph, seeded)
-        q = modularity(graph, labels, config.gamma)
+        labels = recursive_partition(op, options.split_factor, seed=seed)
+        q = modularity(op.graph, labels, op.gamma)
         result = None
     else:
         if options.sweep:
-            result = sweep_nhat(graph, basis, options.sweep, seeded, supervision)
+            result = sweep_nhat(basis, options.sweep, seed=seed, supervision=supervision)
         else:
-            result = mbo_run(graph, basis, seeded, supervision=supervision)
+            result = mbo_run(basis, options.nhat, seed=seed, supervision=supervision)
         labels, q = result.labels, result.modularity
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
     return labels, q, result, elapsed_ms
 
 
 def _run_partition(options) -> int:
-    config = options.mbo_config
     graph = _load_graph(options)
     truth = io.load_labels(options.truth) if options.truth else None
     if truth is not None and truth.size != graph.n_nodes:
@@ -207,25 +194,23 @@ def _run_partition(options) -> int:
             raise ValueError(f"--supervision {options.supervision}: node {outside[0]} "
                              f"is not in the graph of {graph.n_nodes} nodes")
         supervision = Supervision(nodes, labels, options.supervision_weight)
-        if supervision.classes > config.nhat:
+        max_count = options.sweep[-1] if options.sweep else options.nhat
+        if supervision.classes > max_count:
             flag = "--sweep" if options.sweep else "--nhat"
-            raise ValueError(f"{flag}: at most {config.nhat} communities, fewer "
+            raise ValueError(f"{flag}: at most {max_count} communities, fewer "
                              f"than the {supervision.classes} classes of --supervision")
 
+    op = DiffusionOperator(graph, options.gamma)
     basis = None
     if not options.recursive:
         # measured on planted graphs, a sweep's best partition at 2*MAX pairs
         # matched 5*MAX's; fixed runs were not measured below 5*nhat
-        default = 2 * config.nhat if options.sweep else 5 * config.nhat
-        n_eig = min(options.neig or default, graph.n_nodes)
-        basis = smallest_eigenpairs(
-            DiffusionOperator(graph, config.gamma), n_eig, seed=config.seed
-        )
+        n_eig = 2 * options.sweep[-1] if options.sweep else 5 * options.nhat
+        basis = smallest_eigenpairs(op, min(n_eig, graph.n_nodes), seed=options.seed)
 
     # repeats run untraced; only the kept seed is rerun with traces on
-    seeds = list(range(config.seed, config.seed + options.repeat))
-    outcomes = [_partition_once(graph, basis, options, config, supervision, s)
-                for s in seeds]
+    seeds = list(range(options.seed, options.seed + options.repeat))
+    outcomes = [_partition_once(op, basis, options, supervision, s) for s in seeds]
 
     rows = []
     for seed, (labels, q, result, ms) in zip(seeds, outcomes):
@@ -247,8 +232,8 @@ def _run_partition(options) -> int:
         # seeded runs repeat exactly, so rerunning the kept run's seed, count
         # and timestep with traces on reproduces it
         kept = outcomes[best_idx][2]
-        rerun = replace(config, seed=seeds[best_idx], nhat=kept.nhat, dt=kept.dt_used)
-        result = mbo_run(graph, basis, rerun, supervision=supervision, trace=True)
+        result = mbo_run(basis, kept.nhat, seed=seeds[best_idx], dt=kept.dt_used,
+                         supervision=supervision, trace=True)
         with open(f"{options.out}_trace.csv", "w") as fh:
             fh.write("iteration,balanced_tv,modularity\n")
             for i, (tv, q) in enumerate(

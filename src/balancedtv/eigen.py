@@ -47,8 +47,8 @@ class DiffusionOperator:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.graph.total_weight <= 0:
             raise ValueError("operator undefined on a graph with no edges")
 
@@ -89,9 +89,12 @@ class DiffusionOperator:
 class EigenBasis:
     """The n_eig smallest eigenpairs of a diffusion operator.
 
-    ``eigenvalues`` ascend and ``eigenvectors`` has orthonormal columns.
+    ``operator`` is the one home of the graph and gamma that every solve on
+    this basis reads.  ``eigenvalues`` ascend and ``eigenvectors`` has
+    orthonormal columns, one row per node of the operator's graph.
     """
 
+    operator: DiffusionOperator
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -104,6 +107,9 @@ class EigenBasis:
         )
         if self.eigenvalues.ndim != 1 or self.eigenvectors.ndim != 2:
             raise ValueError("eigenvalues must be 1-d and eigenvectors 2-d")
+        if self.eigenvectors.shape[0] != self.operator.graph.n_nodes:
+            raise ValueError(f"eigenvectors have {self.eigenvectors.shape[0]} rows for a "
+                             f"{self.operator.graph.n_nodes}-node operator")
         if self.eigenvectors.shape[1] != self.eigenvalues.size:
             raise ValueError("one eigenvector column per eigenvalue required")
         if np.any(np.diff(self.eigenvalues) < 0):
@@ -121,13 +127,13 @@ class EigenBasis:
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
 
-    def validate(self, op: DiffusionOperator) -> None:
+    def validate(self) -> None:
         """Check orthonormality and per-pair residuals against the operator."""
         v = self.eigenvectors
         gram_err = np.abs(v.T @ v - np.eye(self.n_eig)).max()
         if gram_err > ORTHO_TOL:
             raise ValueError(f"eigenvector columns not orthonormal (max err {gram_err:.3e})")
-        resid = op.apply(v) - v * self.eigenvalues[None, :]
+        resid = self.operator.apply(v) - v * self.eigenvalues[None, :]
         resid_norms = np.linalg.norm(resid, axis=0)
         worst = float(resid_norms.max())
         if worst > RESIDUAL_TOL:
@@ -198,10 +204,7 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, seed: int = 0) -> Eig
                 f"(gap {gap:.3e}); the truncated basis splits a cluster",
                 stacklevel=2,
             )
-    basis = EigenBasis(
-        eigenvalues=vals[:n_eig].copy(),
-        eigenvectors=vecs[:, :n_eig].copy(),
-    )
-    basis.validate(op)
+    basis = EigenBasis(op, vals[:n_eig].copy(), vecs[:, :n_eig].copy())
+    basis.validate()
     return basis
 

@@ -219,7 +219,7 @@ class Supervision:
             raise ValueError("one label per supervised node required")
         if labels.size and labels.min() < 0:
             raise ValueError("supervised labels must be nonnegative")
-        if self.weight < 0:
+        if not self.weight >= 0:  # NaN fails too
             raise ValueError("fidelity weight must be nonnegative")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "labels", labels)
@@ -302,8 +302,8 @@ def modularity(graph: SparseGraph, labels, gamma: float) -> float:
     inner sums over ordered pairs.  The all-in-one-community partition scores
     exactly 1 - gamma.
     """
-    if gamma <= 0:
-        raise ValueError("resolution parameter gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError("resolution parameter gamma must be positive and finite")
     if graph.total_weight == 0:
         raise ValueError("modularity is undefined on a graph with no edges (2m = 0)")
     w_in, vols = _community_sums(graph, labels)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import EigenBasis
+from .eigen import DiffusionOperator, EigenBasis
 from .graph import (
-    SparseGraph,
     Supervision,
     balanced_tv,
     labels_to_matrix,
@@ -25,7 +24,6 @@ from .graph import (
 )
 
 __all__ = [
-    "MboConfig",
     "MboResult",
     "timestep_bounds",
     "select_timestep",
@@ -42,28 +40,6 @@ MAX_ITERS = 300  # sweeps per phase before mbo_run reports converged=False
 
 
 @dataclass(frozen=True)
-class MboConfig:
-    """Run parameters for one MBO solve.
-
-    The eigenbasis passed to ``mbo_run`` fixes how many eigenpairs are used.
-    ``dt`` overrides the automatic timestep when set.
-    """
-
-    gamma: float
-    nhat: int
-    dt: float | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.nhat < 1:
-            raise ValueError("nhat must be at least 1")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive when given")
-
-
-@dataclass(frozen=True)
 class MboResult:
     """Outcome of one MBO solve: final assignment and diagnostics."""
 
@@ -77,30 +53,29 @@ class MboResult:
     nhat: int
 
 
-def timestep_bounds(graph: SparseGraph, gamma: float) -> tuple[float, float]:
+def timestep_bounds(op: DiffusionOperator) -> tuple[float, float]:
     """(tau_lo, cap): the freezing lower bound
-    tau_lo = log(2) / (2 (gamma+1) k_max), below which no threshold step can
-    move a label, and the largest admissible timestep DT_CAP_FACTOR * tau_lo."""
-    tau_lo = np.log(2.0) / (2.0 * (gamma + 1.0) * float(graph.degrees.max()))
+    tau_lo = log(2) / op.infinity_norm_bound() = log(2) / (2 (1+gamma) k_max),
+    below which no threshold step can move a label, and the largest
+    admissible timestep DT_CAP_FACTOR * tau_lo."""
+    tau_lo = np.log(2.0) / op.infinity_norm_bound()
     return tau_lo, DT_CAP_FACTOR * tau_lo
 
 
-def select_timestep(basis: EigenBasis, graph: SparseGraph, config: MboConfig) -> float:
+def select_timestep(basis: EigenBasis) -> float:
     """Automatic MBO timestep.
 
     Geometric mean of the freezing lower bound tau_lo (see
     :func:`timestep_bounds`) and the decay-time upper bound
     tau_hi = log(sqrt(N)/DECAY_EPSILON) / lambda_1, clamped to
     [tau_lo, cap].  A degenerate lambda_1 <= 0 (near-disconnected graph)
-    falls back to the cap.  An explicit ``config.dt`` is returned unchanged.
+    falls back to the cap.
     """
-    if config.dt is not None:
-        return config.dt
-    tau_lo, cap = timestep_bounds(graph, config.gamma)
+    tau_lo, cap = timestep_bounds(basis.operator)
     lam1 = basis.lambda_min
     if lam1 <= 0.0:
         return cap
-    u0_norm = np.sqrt(graph.n_nodes)  # Frobenius norm of any partition matrix
+    u0_norm = np.sqrt(basis.n_nodes)  # Frobenius norm of any partition matrix
     tau_hi = np.log(u0_norm / DECAY_EPSILON) / lam1
     return float(np.clip(np.sqrt(tau_lo * tau_hi), tau_lo, cap))
 
@@ -165,27 +140,28 @@ def _sweep_to_fixed_point(basis, labels, nhat, dt, supervision, history):
     return labels, MAX_ITERS, False
 
 
-def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
+def mbo_run(basis: EigenBasis, nhat: int, *, seed: int = 0, dt: float | None = None,
             supervision: Supervision | None = None,
             init: np.ndarray | None = None, trace: bool = False) -> MboResult:
-    """Run the threshold-dynamics iteration to a fixed point.
+    """Run the threshold-dynamics iteration to a fixed point with ``nhat``
+    communities on the graph and gamma of ``basis.operator``.
 
-    Starts from ``init`` (a label vector) or from seeded uniform random
-    labels, iterates diffuse / fidelity / threshold until the thresholded
-    partition repeats, then refines from that fixed point with
-    ``dt * REFINE_FACTOR`` until stationary again.  Hitting MAX_ITERS in
-    a phase is reported via ``converged=False``, not an error.  ``trace``
-    records every iterate's balanced TV and modularity, which costs more than
-    the loop.  Identical (graph, basis, config, supervision, init) reproduce
-    the result exactly.
+    Starts from ``init`` (a label vector) or from uniform random labels drawn
+    with ``seed``, iterates diffuse / fidelity / threshold until the
+    thresholded partition repeats, then refines from that fixed point with
+    ``dt * REFINE_FACTOR`` until stationary again.  ``dt`` defaults to
+    :func:`select_timestep`.  Hitting MAX_ITERS in a phase is reported via
+    ``converged=False``, not an error.  ``trace`` records every iterate's
+    balanced TV and modularity, which costs more than the loop.  Identical
+    arguments reproduce the result exactly.
     """
-    if basis.n_nodes != graph.n_nodes:
-        raise ValueError("basis was computed for a different graph size")
+    graph, gamma = basis.operator.graph, basis.operator.gamma
+    if nhat < 1:
+        raise ValueError("nhat must be at least 1")
     if supervision is not None:
-        supervision.check_against(graph.n_nodes, config.nhat)
+        supervision.check_against(graph.n_nodes, nhat)
     if init is None:
-        rng = np.random.default_rng(config.seed)
-        labels = rng.integers(0, config.nhat, size=graph.n_nodes)
+        labels = np.random.default_rng(seed).integers(0, nhat, size=graph.n_nodes)
         if supervision is not None:
             # known labels are known at time zero; starting them anywhere
             # else only injects seed-dependent transients
@@ -195,34 +171,32 @@ def mbo_run(graph: SparseGraph, basis: EigenBasis, config: MboConfig,
         if labels.shape != (graph.n_nodes,) or labels.dtype.kind not in "iu":
             raise ValueError(f"init: expected {graph.n_nodes} integer labels, "
                              f"got shape {labels.shape} of {labels.dtype}")
-        if np.any((labels < 0) | (labels >= config.nhat)):
-            raise ValueError(f"init: labels must lie in [0, {config.nhat})")
-    dt = select_timestep(basis, graph, config)
+        if np.any((labels < 0) | (labels >= nhat)):
+            raise ValueError(f"init: labels must lie in [0, {nhat})")
+    if dt is None:
+        dt = select_timestep(basis)
 
     history = [] if trace else None
     labels, iters, converged = _sweep_to_fixed_point(
-        basis, labels, config.nhat, dt, supervision, history
+        basis, labels, nhat, dt, supervision, history
     )
     if converged:
         labels, extra, converged = _sweep_to_fixed_point(
-            basis, labels, config.nhat, dt * REFINE_FACTOR, supervision, history
+            basis, labels, nhat, dt * REFINE_FACTOR, supervision, history
         )
         iters += extra
 
     energy_trace = np.array(
-        [balanced_tv(graph, labels_to_matrix(lab, config.nhat), config.gamma)
-         for lab in history or []]
+        [balanced_tv(graph, labels_to_matrix(lab, nhat), gamma) for lab in history or []]
     )
-    modularity_trace = np.array(
-        [modularity(graph, lab, config.gamma) for lab in history or []]
-    )
+    modularity_trace = np.array([modularity(graph, lab, gamma) for lab in history or []])
     return MboResult(
         labels=labels,
         iterations=iters,
         dt_used=dt,
         energy_trace=energy_trace,
         modularity_trace=modularity_trace,
-        modularity=modularity(graph, labels, config.gamma),
+        modularity=modularity(graph, labels, gamma),
         converged=converged,
-        nhat=config.nhat,
+        nhat=nhat,
     )

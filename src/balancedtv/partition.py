@@ -1,21 +1,18 @@
 """Strategies for choosing the number of communities.
 
-Three policies: a fixed count (a plain ``mbo_run`` with ``MboConfig.nhat``
-communities), a modularity-maximizing sweep over a range of counts that
-reuses a single eigenbasis, and recursive splitting gated on full-graph
-modularity gain, whose split factor is ``MboConfig.nhat``.  Also provides the
+Three policies: a fixed count (a plain ``mbo_run``), a modularity-maximizing
+sweep over a range of counts that reuses a single eigenbasis, and recursive
+splitting gated on full-graph modularity gain.  Also provides the
 k-means-on-eigenvectors initialization that seeds each recursive split.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .eigen import DiffusionOperator, EigenBasis, smallest_eigenpairs
-from .graph import SparseGraph, Supervision, modularity
-from .mbo import DT_CAP_FACTOR, MboConfig, MboResult, mbo_run, select_timestep, timestep_bounds
+from .graph import Supervision, modularity
+from .mbo import DT_CAP_FACTOR, MboResult, mbo_run, select_timestep, timestep_bounds
 
 __all__ = ["kmeans_init", "sweep_nhat", "recursive_partition"]
 
@@ -98,32 +95,26 @@ def kmeans_init(basis: EigenBasis, nhat: int, seed: int = 0) -> np.ndarray:
     return _kmeans_labels(basis.eigenvectors[:, :nhat], nhat, rng)
 
 
-def _sweep_timesteps(graph: SparseGraph, basis: EigenBasis,
-                     config: MboConfig) -> list[float]:
-    """Candidate timesteps for one sweep: the automatic choice plus, unless
-    ``config.dt`` pins it, a DT_LADDER-rung geometric ladder across the
-    admissible range [tau_lo, cap].  Diffusion reuses the one basis, so
-    extra timesteps cost no eigenwork."""
-    auto = select_timestep(basis, graph, config)
-    if config.dt is not None:
-        return [auto]
-    tau_lo, _ = timestep_bounds(graph, config.gamma)
+def _sweep_timesteps(basis: EigenBasis) -> list[float]:
+    """Candidate timesteps for one sweep: the automatic choice plus a
+    DT_LADDER-rung geometric ladder across the admissible range [tau_lo, cap].
+    Diffusion reuses the one basis, so extra timesteps cost no eigenwork."""
+    tau_lo, _ = timestep_bounds(basis.operator)
     rungs = tau_lo * np.logspace(0.1, np.log10(DT_CAP_FACTOR), DT_LADDER)
-    return sorted(set(float(dt) for dt in rungs) | {auto})
+    return sorted(set(float(dt) for dt in rungs) | {select_timestep(basis)})
 
 
-def sweep_nhat(graph: SparseGraph, basis: EigenBasis, nhats, config: MboConfig,
+def sweep_nhat(basis: EigenBasis, nhats, *, seed: int = 0,
                supervision: Supervision | None = None) -> MboResult:
     """Run the MBO solve for each candidate community count and keep the
     partition with the best modularity (ties to the smaller count).
 
-    Every run shares the one eigenbasis ``basis``.  Unless ``config.dt`` pins
-    the timestep, each count is also tried across a DT_LADDER-rung geometric
+    Every run shares the one eigenbasis ``basis`` and the random start drawn
+    with ``seed``.  Each count is tried across a DT_LADDER-rung geometric
     ladder of timesteps (the automatic choice always included): fixed points
     of the threshold dynamics depend on the timestep, and with the basis
     amortized the extra runs are nearly free.  Counts too small to hold every
-    supervised class are skipped.  ``config.nhat`` is replaced by each count
-    in turn.
+    supervised class are skipped.
     """
     nhats = sorted(set(int(h) for h in nhats))
     if not nhats:
@@ -135,34 +126,35 @@ def sweep_nhat(graph: SparseGraph, basis: EigenBasis, nhats, config: MboConfig,
         if not nhats:
             raise ValueError(f"nhats: every count is below the {supervision.classes} "
                              "classes of the supervision labels")
-    timesteps = _sweep_timesteps(graph, basis, config)
+    timesteps = _sweep_timesteps(basis)
     best = None
     for nhat in nhats:
         for dt in timesteps:
-            run_config = replace(config, nhat=nhat, dt=dt)
-            result = mbo_run(graph, basis, run_config, supervision=supervision)
+            result = mbo_run(basis, nhat, seed=seed, dt=dt, supervision=supervision)
             if best is None or result.modularity > best.modularity:
                 best = result
     return best
 
 
-def recursive_partition(graph: SparseGraph, config: MboConfig) -> np.ndarray:
-    """Recursively split communities while full-graph modularity increases.
+def recursive_partition(op: DiffusionOperator, split_factor: int, *,
+                        seed: int = 0) -> np.ndarray:
+    """Recursively split communities of ``op.graph`` while full-graph
+    modularity at ``op.gamma`` increases.
 
     Starts from a single community.  Each community of at least
-    ``max(MIN_SPLIT_SIZE, config.nhat)`` nodes is split by an MBO run on its
-    induced subgraph (own operator and eigenbasis, k-means initialization)
-    into at most ``config.nhat`` parts, the split factor; the split is kept
-    only if modularity of the whole graph, with the original degrees and
+    ``max(MIN_SPLIT_SIZE, split_factor)`` nodes is split by an MBO run on its
+    induced subgraph (own operator and eigenbasis, k-means initialization
+    seeded from ``seed``) into at most ``split_factor`` parts; the split is
+    kept only if modularity of the whole graph, with the original degrees and
     total weight, increases by more than GAIN_TOL.  Accepted parts are
     revisited until no community admits a profitable split.  Returns
     contiguous labels.
     """
-    if config.nhat < 2:
-        raise ValueError("split factor (config.nhat) must be at least 2")
+    if split_factor < 2:
+        raise ValueError("split_factor must be at least 2")
     # k-means on a smaller community's basis would have fewer columns than parts
-    min_size = max(MIN_SPLIT_SIZE, config.nhat)
-    gamma = config.gamma
+    min_size = max(MIN_SPLIT_SIZE, split_factor)
+    graph, gamma = op.graph, op.gamma
     labels = np.zeros(graph.n_nodes, dtype=np.int64)
     current_q = modularity(graph, labels, gamma)
     pending = [np.arange(graph.n_nodes, dtype=np.int64)]
@@ -176,13 +168,12 @@ def recursive_partition(graph: SparseGraph, config: MboConfig) -> np.ndarray:
         sub = graph.subgraph(members)
         if sub.total_weight == 0:
             continue
-        op = DiffusionOperator(sub, gamma)
-        n_eig = min(5 * config.nhat, sub.n_nodes)
-        sub_seed = config.seed + subproblem
+        n_eig = min(5 * split_factor, sub.n_nodes)
+        sub_seed = seed + subproblem
         subproblem += 1
-        basis = smallest_eigenpairs(op, n_eig, seed=sub_seed)
-        init = kmeans_init(basis, config.nhat, seed=sub_seed)
-        result = mbo_run(sub, basis, replace(config, seed=sub_seed), init=init)
+        basis = smallest_eigenpairs(DiffusionOperator(sub, gamma), n_eig, seed=sub_seed)
+        init = kmeans_init(basis, split_factor, seed=sub_seed)
+        result = mbo_run(basis, split_factor, init=init)
 
         parts = np.unique(result.labels)
         if parts.size < 2:

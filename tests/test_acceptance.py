@@ -15,7 +15,6 @@ import scipy.linalg
 import balancedtv.eigen as eigen_mod
 from balancedtv import (
     DiffusionOperator,
-    MboConfig,
     Supervision,
     balanced_cut,
     balanced_cut_centered,
@@ -53,17 +52,12 @@ def moons_pipeline():
     start = time.perf_counter()
     features, truth = two_moons(2000, 100, noise_sigma=0.14, seed=0)
     graph = knn_graph(features, 13)
-    gamma = 0.2
-    basis = smallest_eigenpairs(DiffusionOperator(graph, gamma), 10, seed=0)
-    results = [
-        mbo_run(graph, basis, MboConfig(gamma=gamma, nhat=2, seed=seed))
-        for seed in range(20)
-    ]
+    basis = smallest_eigenpairs(DiffusionOperator(graph, 0.2), 10, seed=0)
+    results = [mbo_run(basis, 2, seed=seed) for seed in range(20)]
     elapsed = time.perf_counter() - start
     return {
         "graph": graph,
         "truth": truth,
-        "gamma": gamma,
         "basis": basis,
         "modularity": np.array([r.modularity for r in results]),
         "classification": np.array([classification_rate(r.labels, truth)
@@ -87,15 +81,11 @@ def test_criterion_1_two_moons_end_to_end(moons_pipeline):
 def test_criterion_2_supervision_consistency(moons_pipeline):
     graph = moons_pipeline["graph"]
     truth = moons_pipeline["truth"]
-    gamma = moons_pipeline["gamma"]
     basis = moons_pipeline["basis"]
     rng = np.random.default_rng(0)
     supervised = rng.choice(graph.n_nodes, size=graph.n_nodes // 10, replace=False)
     sup = Supervision(supervised, truth[supervised], weight=100.0)
-    results = [
-        mbo_run(graph, basis, MboConfig(gamma=gamma, nhat=2, seed=seed), supervision=sup)
-        for seed in range(20)
-    ]
+    results = [mbo_run(basis, 2, seed=seed, supervision=sup) for seed in range(20)]
     sup_consistency = consistency([classification_rate(r.labels, truth) for r in results])
     unsup_consistency = consistency(moons_pipeline["classification"])
     ok = sup_consistency >= 0.9 and sup_consistency >= unsup_consistency
@@ -256,8 +246,7 @@ def test_criterion_7_small_instance_optimality():
         basis = smallest_eigenpairs(DiffusionOperator(graph, gamma), n)
         best = -np.inf
         for seed in range(10):
-            config = MboConfig(gamma=gamma, nhat=4, seed=seed)
-            result = sweep_nhat(graph, basis, range(1, 5), config)
+            result = sweep_nhat(basis, range(1, 5), seed=seed)
             best = max(best, result.modularity)
         if best > target + 1e-9:
             exceeded += 1
@@ -277,7 +266,7 @@ def test_criterion_8_recursive_recovery():
     graph, truth = planted_partition(400, 8, 10.0, 1.0, seed=0)
     best = 0.0
     for seed in range(5):
-        labels = recursive_partition(graph, MboConfig(gamma=1.0, nhat=2, seed=seed))
+        labels = recursive_partition(DiffusionOperator(graph, 1.0), 2, seed=seed)
         best = max(best, purity(labels, truth))
     elapsed = time.perf_counter() - start
     ok = best >= 0.9 and elapsed <= 30.0

@@ -55,9 +55,7 @@ class TestParseArgs:
             "--nhat", "2", "--seed", "7", "--out", str(tmp_path / "run"),
         ])
         assert options.command == "partition"
-        assert options.mbo_config.nhat == 2
-        assert options.mbo_config.gamma == 0.5
-        assert options.mbo_config.seed == 7
+        assert (options.nhat, options.gamma, options.seed) == (2, 0.5, 7)
 
     def test_conflicting_sources_rejected(self, tmp_path, capsys):
         edges = write_cliques(tmp_path)
@@ -89,7 +87,6 @@ class TestParseArgs:
             "partition", "--edges", str(edges), "--sweep", "2..4", "--out", "x",
         ])
         assert options.sweep == range(2, 5)
-        assert options.mbo_config.nhat == 4
 
     def test_bad_sweep_range(self, tmp_path, capsys):
         edges = write_cliques(tmp_path)
@@ -134,6 +131,9 @@ class TestParseArgs:
         ("partition --features IN --nhat 2 --knn 2 --out x", "--scaling-neighbor 1"),
         ("build-graph --features IN --out x", "--scaling-neighbor 1"),
         ("metrics --pred IN --truth IN --batch IN", "--tol 0.02"),
+        ("partition --features IN --nhat 2 --out x", "--neig 3"),
+        ("partition --features IN --sweep 2..4 --out x", "--neig 0"),
+        ("partition --features IN --recursive --out x", "--neig 3"),
     ])
     def test_removed_flag_is_unknown(self, tmp_path, capsys, argv, removed):
         pts = tmp_path / "pts.csv"
@@ -145,7 +145,7 @@ class TestParseArgs:
         assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,count", [
-        ("partition", 16), ("build-graph", 3), ("metrics", 3),
+        ("partition", 15), ("build-graph", 3), ("metrics", 3),
     ])
     def test_help_lists_settable_flags(self, capsys, command, count):
         with pytest.raises(SystemExit) as exc:
@@ -156,7 +156,6 @@ class TestParseArgs:
 
     @pytest.mark.parametrize("strategy,flag,value", [
         (["--nhat", "4"], "--split-factor", "7"),
-        (["--recursive"], "--neig", "3"),
     ])
     def test_flag_unused_by_strategy_rejected(self, tmp_path, capsys,
                                               strategy, flag, value):
@@ -167,14 +166,30 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("strategy", [["--nhat", "2"], ["--sweep", "2..4"]])
-    def test_nonpositive_neig_rejected_at_parse_time(self, tmp_path, capsys, strategy):
+    @pytest.mark.parametrize("strategy", [["--nhat", "2"], ["--sweep", "2..4"],
+                                          ["--recursive"]])
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+    def test_gamma_outside_positive_reals_rejected(self, tmp_path, capsys,
+                                                  strategy, gamma):
         edges = write_cliques(tmp_path)
         with pytest.raises(SystemExit) as exc:
             parse_args(["partition", "--edges", str(edges), *strategy,
-                        "--neig", "0", "--out", "x"])
+                        "--gamma", gamma, "--out", "x"])
         assert exc.value.code == 2
-        assert "--neig" in capsys.readouterr().err
+        assert "error: --gamma: must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["-1", "nan"])
+    def test_bad_supervision_weight_rejected(self, tmp_path, capsys, weight):
+        edges = write_cliques(tmp_path)
+        sup = tmp_path / "sup.csv"
+        sup.write_text("node,label\n0,0\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["partition", "--edges", str(edges), "--nhat", "2",
+                        "--supervision", str(sup), "--supervision-weight", weight,
+                        "--out", "x"])
+        assert exc.value.code == 2
+        assert "error: --supervision-weight: must be at least 0" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag,value,needs", [
         ("--knn", "5", "--features"),
@@ -321,8 +336,13 @@ class TestEndToEnd:
             "--truth", str(truth), "--out", str(tmp_path / "swp"),
         ]) == 0
 
-    @pytest.mark.parametrize("neig,asked", [(None, 8), ("3", 3), ("25", 25)])
-    def test_sweep_basis_size_follows_neig(self, tmp_path, monkeypatch, neig, asked):
+    @pytest.mark.parametrize("strategy,asked", [
+        (["--sweep", "2..4"], 8),      # 2 * MAX
+        (["--nhat", "3"], 15),         # 5 * nhat
+        (["--sweep", "44..46"], 90),   # 2 * MAX = 92, capped at the 90 nodes
+        (["--nhat", "20"], 90),        # 5 * nhat = 100, capped likewise
+    ])
+    def test_basis_size_follows_count(self, tmp_path, monkeypatch, strategy, asked):
         import balancedtv.cli as cli_mod
 
         edges, _ = write_planted(tmp_path, 90, 3)
@@ -330,9 +350,8 @@ class TestEndToEnd:
         real = cli_mod.smallest_eigenpairs
         monkeypatch.setattr(cli_mod, "smallest_eigenpairs",
                             lambda op, n_eig, **k: sizes.append(n_eig) or real(op, n_eig, **k))
-        flags = [] if neig is None else ["--neig", neig]
-        assert main(["partition", "--edges", str(edges), "--sweep", "2..4", *flags,
-                     "--out", str(tmp_path / "swept")]) == 0
+        assert main(["partition", "--edges", str(edges), *strategy,
+                     "--out", str(tmp_path / "run")]) == 0
         assert sizes == [asked]
 
     def test_sweep_writes_trace(self, tmp_path):
@@ -470,6 +489,35 @@ class TestEndToEnd:
         ]) == 0
         labels = load_labels(f"{out}_labels.csv")
         assert labels[0] == 0 and labels[5] == 1
+
+    def test_infinite_supervision_weight_pins_known_labels(self, tmp_path):
+        edges, truth_path = write_planted(tmp_path, 90, 3)
+        truth = load_labels(truth_path)
+        nodes = [int(np.flatnonzero(truth == b)[0]) for b in range(3)]
+        sup = tmp_path / "known.csv"
+        sup.write_text("node,label\n" + "".join(f"{i},{truth[i]}\n" for i in nodes))
+        out = tmp_path / "pinned"
+        assert main(["partition", "--edges", str(edges), "--nhat", "3",
+                     "--supervision", str(sup), "--supervision-weight", "inf",
+                     "--out", str(out)]) == 0
+        labels = load_labels(f"{out}_labels.csv")
+        assert np.array_equal(labels[nodes], truth[nodes])
+
+    @pytest.mark.parametrize("command,knn,points,problem", [
+        ("partition", "5", "0,0\n1,1\n2,2\n", "k must satisfy 1 <= k < n_points"),
+        ("build-graph", "3", "0,0\n1,1\n2,2\n", "k must satisfy 1 <= k < n_points"),
+        ("partition", "2", "0,0\n0,0\n0,0\n5,5\n", "point 0: all 2 nearest neighbors coincide"),
+        ("build-graph", "2", "0,0\n0,0\n0,0\n5,5\n", "point 0: all 2 nearest neighbors coincide"),
+    ])
+    def test_knn_failure_names_flag_and_file(self, tmp_path, capsys, command, knn,
+                                             points, problem):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(points)
+        strategy = ["--nhat", "2"] if command == "partition" else []
+        assert main([command, "--features", str(pts), "--knn", knn, *strategy,
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: --knn {knn} on --features {pts}: {problem}" in err
 
     def test_metrics_command(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"

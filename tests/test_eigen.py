@@ -76,6 +76,11 @@ class TestOperator:
         with pytest.raises(ValueError):
             DiffusionOperator(TWO_NODE, 0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            DiffusionOperator(TWO_NODE, gamma)
+
 
 class TestInfinityNormBound:
     def test_two_node_value(self):
@@ -126,7 +131,7 @@ class TestSmallestEigenpairs:
             basis = smallest_eigenpairs(op, 8, seed=1)
             vals, _ = dense_spectrum(op)
             assert np.max(np.abs(basis.eigenvalues - vals[:8])) <= 1e-8
-            basis.validate(op)
+            basis.validate()
 
     def test_psd_and_connected_positivity(self, rng):
         for _ in range(10):
@@ -209,9 +214,18 @@ class TestBasisValidation:
         g = random_graph(rng, 10)
         op = DiffusionOperator(g, 1.0)
         bogus = EigenBasis(
+            op,
             eigenvalues=np.array([0.0, 1.0]),
             eigenvectors=rng.standard_normal((10, 2)),
         )
         with pytest.raises(ValueError):
-            bogus.validate(op)
+            bogus.validate()
+
+    @pytest.mark.parametrize("rows", [9, 11])
+    def test_rejects_wrong_row_count(self, rng, rows):
+        # a basis is one row per node of its operator's graph, so no solve
+        # can pair it with another graph
+        op = DiffusionOperator(random_graph(rng, 10), 1.0)
+        with pytest.raises(ValueError, match=f"{rows} rows for a 10-node operator"):
+            EigenBasis(op, np.array([0.0, 1.0]), np.eye(rows, 2))
 

@@ -9,6 +9,7 @@ from balancedtv import (
     balanced_cut_centered,
     balanced_tv,
     cut,
+    fidelity_step,
     gl_energy,
     graph_tv,
     labels_to_matrix,
@@ -193,6 +194,11 @@ class TestModularity:
         with pytest.raises(ValueError, match="2m = 0"):
             modularity(g, [0, 0, 0], 1.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_gamma_outside_positive_reals(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            modularity(K3, [0, 0, 1], gamma)
+
     def test_column_permutation_invariance(self, rng):
         g = random_graph(rng, 9)
         labels = random_labels(rng, 9, 3)
@@ -333,6 +339,14 @@ class TestSupervisedEnergy:
             Supervision([0, 1], [0], weight=1.0)
         with pytest.raises(ValueError, match="one label per supervised node"):
             Supervision([0], [0, 1], weight=1.0)
+
+    def test_nan_weight_rejected_infinite_kept(self):
+        with pytest.raises(ValueError, match="weight must be nonnegative"):
+            Supervision([0], [1], weight=np.nan)
+        # an infinite weight pins the supervised rows to their targets
+        sup = Supervision([0], [1], weight=np.inf)
+        u = fidelity_step(np.array([[0.7, 0.3], [0.4, 0.6]]), sup, 0.1)
+        assert np.array_equal(u, [[0.0, 1.0], [0.4, 0.6]])
 
     def test_classes_and_targets(self):
         sup = Supervision([4, 0, 2], [2, 0, 0], weight=1.0)

@@ -8,7 +8,6 @@ import balancedtv.mbo as mbo_mod
 from balancedtv import (
     DiffusionOperator,
     EigenBasis,
-    MboConfig,
     SparseGraph,
     Supervision,
     diffuse,
@@ -42,33 +41,32 @@ class TestSelectTimestep:
         dense[0, 1:] = dense[1:, 0] = 1.0
         g = SparseGraph.from_dense(dense)
         basis = full_basis(g, 1.0)
-        config = MboConfig(gamma=1.0, nhat=2)
-        dt = select_timestep(basis, g, config)
+        dt = select_timestep(basis)
         tau_lo = np.log(2.0) / 40.0
         assert tau_lo == pytest.approx(0.017328679513998632)
         assert dt >= tau_lo
 
     def test_two_node_geometric_mean(self):
         basis = full_basis(TWO_NODE, 1.0)
-        config = MboConfig(gamma=1.0, nhat=2)
         # tau_lo = log2/4 and tau_hi = (1/2) log sqrt(2) coincide here
-        assert select_timestep(basis, TWO_NODE, config) == pytest.approx(
+        assert select_timestep(basis) == pytest.approx(
             0.17328679513998632
         )
 
     def test_explicit_override(self):
+        # an explicit dt is mbo_run's to take; the automatic choice stays put
         basis = full_basis(TWO_NODE, 1.0)
-        config = MboConfig(gamma=1.0, nhat=2, dt=0.123)
-        assert select_timestep(basis, TWO_NODE, config) == 0.123
+        assert mbo_run(basis, 2, dt=0.123).dt_used == 0.123
+        assert mbo_run(basis, 2).dt_used == select_timestep(basis) != 0.123
 
     def test_degenerate_lambda_clamps_to_cap(self):
         basis = EigenBasis(
+            DiffusionOperator(TWO_NODE, 1.0),
             eigenvalues=np.array([0.0, 1.0]),
             eigenvectors=np.eye(2),
         )
-        config = MboConfig(gamma=1.0, nhat=2)
         tau_lo = np.log(2.0) / 4.0
-        assert select_timestep(basis, TWO_NODE, config) == pytest.approx(
+        assert select_timestep(basis) == pytest.approx(
             DT_CAP_FACTOR * tau_lo
         )
 
@@ -77,8 +75,7 @@ class TestSelectTimestep:
             g = random_graph(rng, int(rng.integers(4, 30)))
             gamma = rng.uniform(0.2, 3.0)
             basis = smallest_eigenpairs(DiffusionOperator(g, gamma), 4)
-            config = MboConfig(gamma=gamma, nhat=2)
-            dt = select_timestep(basis, g, config)
+            dt = select_timestep(basis)
             tau_lo = np.log(2.0) / (2.0 * (gamma + 1.0) * g.degrees.max())
             assert tau_lo <= dt <= DT_CAP_FACTOR * tau_lo + 1e-15
 
@@ -235,8 +232,7 @@ class TestMboRun:
             basis = full_basis(g, gamma)
             tau = 0.9 * np.log(2.0) / (2.0 * (gamma + 1.0) * g.degrees.max())
             init = random_labels(rng, n, 2)
-            config = MboConfig(gamma=gamma, nhat=2, dt=tau, seed=0)
-            result = mbo_run(g, basis, config, init=init)
+            result = mbo_run(basis, 2, dt=tau, init=init)
             # one sweep at dt and one refinement sweep, neither moving a label
             assert result.iterations == 2
             assert np.array_equal(result.labels, init)
@@ -254,7 +250,7 @@ class TestMboRun:
             q = (W[same].sum() - (np.outer(k, k)[same]).sum() / twom) / twom
             best = max(best, q)
         assert best == pytest.approx(0.5)
-        result = mbo_run(g, basis, MboConfig(gamma=1.0, nhat=2, seed=1))
+        result = mbo_run(basis, 2, seed=1)
         assert result.modularity == pytest.approx(best)
         assert len(set(result.labels[:5])) == 1
         assert len(set(result.labels[5:])) == 1
@@ -266,7 +262,7 @@ class TestMboRun:
         nodes = np.array([0, 5, 9, 13])
         targets = np.array([1, 0, 1, 0])
         sup = Supervision(nodes, targets, weight=1e4)
-        result = mbo_run(g, basis, MboConfig(gamma=1.0, nhat=2, seed=2), supervision=sup)
+        result = mbo_run(basis, 2, seed=2, supervision=sup)
         assert np.array_equal(result.labels[nodes], targets)
 
     @pytest.mark.parametrize("make_init", [
@@ -283,22 +279,21 @@ class TestMboRun:
         g, _ = planted_partition(1000, 6, 10.0, 1.0, seed=0)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 20)
         with pytest.raises(ValueError, match="^init: "):
-            mbo_run(g, basis, MboConfig(gamma=1.0, nhat=4), init=make_init(g.n_nodes))
+            mbo_run(basis, 4, init=make_init(g.n_nodes))
 
     def test_supervision_labels_must_fit_nhat(self, rng):
         g = random_graph(rng, 12)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 5)
         sup = Supervision([0, 5], [0, 2], weight=1.0)
         with pytest.raises(ValueError, match="need 3 communities, got 2"):
-            mbo_run(g, basis, MboConfig(gamma=1.0, nhat=2), supervision=sup)
-        assert mbo_run(g, basis, MboConfig(gamma=1.0, nhat=3), supervision=sup).nhat == 3
+            mbo_run(basis, 2, supervision=sup)
+        assert mbo_run(basis, 3, supervision=sup).nhat == 3
 
     def test_determinism(self, rng):
         g = random_graph(rng, 30)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 10)
-        config = MboConfig(gamma=1.0, nhat=3, seed=11)
-        a = mbo_run(g, basis, config, trace=True)
-        b = mbo_run(g, basis, config, trace=True)
+        a = mbo_run(basis, 3, seed=11, trace=True)
+        b = mbo_run(basis, 3, seed=11, trace=True)
         assert np.array_equal(a.labels, b.labels)
         assert a.iterations == b.iterations
         assert a.dt_used == b.dt_used
@@ -308,7 +303,7 @@ class TestMboRun:
     def test_result_consistency(self, rng):
         g = random_graph(rng, 25)
         basis = smallest_eigenpairs(DiffusionOperator(g, 0.8), 10)
-        result = mbo_run(g, basis, MboConfig(gamma=0.8, nhat=2, seed=5), trace=True)
+        result = mbo_run(basis, 2, seed=5, trace=True)
         assert np.all(np.isfinite(result.energy_trace))
         assert result.modularity == pytest.approx(
             modularity(g, result.labels, 0.8), rel=1e-12
@@ -321,9 +316,8 @@ class TestMboRun:
         sup = Supervision([0, 7, 21], [0, 1, 2], weight=10.0)
         for seed in range(4):
             for supervision in (None, sup):
-                config = MboConfig(gamma=1.0, nhat=3, seed=seed)
-                off = mbo_run(g, basis, config, supervision=supervision)
-                on = mbo_run(g, basis, config, supervision=supervision, trace=True)
+                off = mbo_run(basis, 3, seed=seed, supervision=supervision)
+                on = mbo_run(basis, 3, seed=seed, supervision=supervision, trace=True)
                 assert np.array_equal(off.labels, on.labels)
                 assert off.labels.dtype == on.labels.dtype
                 assert off.iterations == on.iterations
@@ -342,9 +336,8 @@ class TestMboRun:
         for seed in range(trials):
             g, _ = planted_partition(60, 3, 8.0, 1.0, seed=seed)
             basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 10)
-            config = MboConfig(gamma=1.0, nhat=3, seed=seed)
             init = random_labels(np.random.default_rng(seed), 60, 3)
-            result = mbo_run(g, basis, config, init=init)
+            result = mbo_run(basis, 3, seed=seed, init=init)
             q0 = modularity(g, init, 1.0)
             if result.modularity >= q0:
                 improved += 1
@@ -353,7 +346,7 @@ class TestMboRun:
     def test_nhat_one_collapses_immediately(self, rng):
         g = random_graph(rng, 10)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 5)
-        result = mbo_run(g, basis, MboConfig(gamma=1.0, nhat=1, seed=0))
+        result = mbo_run(basis, 1)
         assert np.all(result.labels == 0)
         assert result.converged
 
@@ -361,14 +354,13 @@ class TestMboRun:
         monkeypatch.setattr(mbo_mod, "MAX_ITERS", 1)
         g = random_graph(rng, 15)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 5)
-        config = MboConfig(gamma=1.0, nhat=2, seed=0)
-        result = mbo_run(g, basis, config)
+        result = mbo_run(basis, 2)
         assert result.iterations <= 1
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MboConfig(gamma=-1.0, nhat=2)
-        with pytest.raises(ValueError):
-            MboConfig(gamma=1.0, nhat=0)
-        with pytest.raises(ValueError):
-            MboConfig(gamma=1.0, nhat=2, dt=-0.1)
+        # gamma is the operator's to check (test_eigen); nhat and dt are checked here
+        basis = full_basis(TWO_NODE, 1.0)
+        with pytest.raises(ValueError, match="nhat must be at least 1"):
+            mbo_run(basis, 0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            mbo_run(basis, 2, dt=-0.1)

@@ -1,11 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from balancedtv import (
     DiffusionOperator,
-    MboConfig,
     Supervision,
     kmeans_init,
     mbo_run,
@@ -17,7 +14,12 @@ from balancedtv import (
     smallest_eigenpairs,
     sweep_nhat,
 )
-from balancedtv.partition import KMEANS_MAX_ITER, KMEANS_RESTARTS, _kmeans_labels
+from balancedtv.partition import (
+    KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
+    _kmeans_labels,
+    _sweep_timesteps,
+)
 from conftest import complete_graph, random_graph, two_cliques
 
 
@@ -33,13 +35,10 @@ def sweep_basis(graph, max_nhat, seed=0):
 class TestStrategies:
     def test_validation(self, rng):
         g = random_graph(rng, 8)
-        config = MboConfig(gamma=1.0, nhat=2)
-        with pytest.raises(ValueError):
-            MboConfig(gamma=1.0, nhat=0)
         with pytest.raises(ValueError, match="empty"):
-            sweep_nhat(g, sweep_basis(g, 2), range(3, 2), config)
-        with pytest.raises(ValueError, match="split factor"):
-            recursive_partition(g, replace(config, nhat=1))
+            sweep_nhat(sweep_basis(g, 2), range(3, 2))
+        with pytest.raises(ValueError, match="split_factor must be at least 2"):
+            recursive_partition(DiffusionOperator(g, 1.0), 1)
 
 
 class TestKmeansInit:
@@ -134,60 +133,49 @@ def loop_kmeans(points, k, rng, empties):
 class TestSweep:
     def test_cliques_pick_two_communities(self):
         g = two_cliques(5)
-        config = MboConfig(gamma=1.0, nhat=2, seed=0)
-        best = sweep_nhat(g, sweep_basis(g, 4), range(2, 5), config)
+        best = sweep_nhat(sweep_basis(g, 4), range(2, 5))
         assert np.unique(best.labels).size == 2
         assert best.modularity == pytest.approx(0.5)
 
     def test_singleton_range_matches_fixed_run(self, rng):
         g = random_graph(rng, 20)
-        config = MboConfig(gamma=1.0, nhat=3, seed=7)
-        basis = smallest_eigenpairs(
-            DiffusionOperator(g, 1.0), min(15, g.n_nodes), seed=config.seed
-        )
-        # pinning dt to the automatic choice leaves the sweep one timestep
-        auto = select_timestep(basis, g, config)
-        swept = sweep_nhat(g, basis, [3], replace(config, dt=auto))
-        fixed_config = MboConfig(gamma=1.0, nhat=3, seed=7)
-        fixed = mbo_run(g, basis, fixed_config)
+        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), min(15, g.n_nodes), seed=7)
+        timesteps = _sweep_timesteps(basis)
+        assert select_timestep(basis) in timesteps
+        swept = sweep_nhat(basis, [3], seed=7)
+        # the first of the best fixed runs over the sweep's own timesteps
+        fixed = max((mbo_run(basis, 3, seed=7, dt=dt) for dt in timesteps),
+                    key=lambda result: result.modularity)
         assert np.array_equal(swept.labels, fixed.labels)
         assert swept.modularity == fixed.modularity
+        assert swept.dt_used == fixed.dt_used
 
     def test_timestep_ladder_never_hurts(self, rng):
         g = random_graph(rng, 24, density=0.3)
-        config = MboConfig(gamma=1.0, nhat=3, seed=2)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 15, seed=2)
-        auto = select_timestep(basis, g, config)
-        plain = sweep_nhat(g, basis, range(1, 4), replace(config, dt=auto))
-        laddered = sweep_nhat(g, basis, range(1, 4), config)
-        assert laddered.modularity >= plain.modularity - 1e-12
-
-    def test_explicit_dt_disables_ladder(self, rng):
-        g = random_graph(rng, 15)
-        config = MboConfig(gamma=1.0, nhat=2, seed=0, dt=0.05)
-        swept = sweep_nhat(g, sweep_basis(g, 2), [2], config)
-        assert swept.dt_used == 0.05
+        # the best automatic-timestep run over the same counts and seed
+        plain = max(mbo_run(basis, nhat, seed=2).modularity for nhat in range(1, 4))
+        laddered = sweep_nhat(basis, range(1, 4), seed=2)
+        assert laddered.modularity >= plain - 1e-12
 
     def test_best_dominates_every_candidate(self, rng):
         g = random_graph(rng, 18)
-        config = MboConfig(gamma=1.0, nhat=4, seed=3)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 18, seed=3)
-        best = sweep_nhat(g, basis, range(1, 5), config)
+        best = sweep_nhat(basis, range(1, 5), seed=3)
         for nhat in range(1, 5):
-            single = sweep_nhat(g, basis, [nhat], config)
+            single = sweep_nhat(basis, [nhat], seed=3)
             assert best.modularity >= single.modularity - 1e-12
 
     def test_supervision_skips_counts_below_its_classes(self):
         g, truth = planted_partition(80, 4, 10.0, 0.5, seed=1)
         nodes = np.array([np.flatnonzero(truth == b)[0] for b in range(4)])
         sup = Supervision(nodes, truth[nodes], weight=100.0)
-        config = MboConfig(gamma=1.0, nhat=6, seed=0)
         basis = sweep_basis(g, 6)
-        best = sweep_nhat(g, basis, range(2, 7), config, supervision=sup)
+        best = sweep_nhat(basis, range(2, 7), supervision=sup)
         assert best.nhat >= 4
         assert np.array_equal(best.labels[nodes], truth[nodes])
         with pytest.raises(ValueError) as err:
-            sweep_nhat(g, basis, range(2, 4), config, supervision=sup)
+            sweep_nhat(basis, range(2, 4), supervision=sup)
         # a library error names the library's arguments, not the CLI's flags
         assert str(err.value) == ("nhats: every count is below the 4 classes "
                                   "of the supervision labels")
@@ -195,45 +183,45 @@ class TestSweep:
     def test_empty_range_rejected(self, rng):
         g = random_graph(rng, 8)
         with pytest.raises(ValueError, match="empty"):
-            sweep_nhat(g, sweep_basis(g, 2), [], MboConfig(gamma=1.0, nhat=2))
+            sweep_nhat(sweep_basis(g, 2), [])
 
 
 class TestRecursive:
     def test_triangle_stays_whole_at_gamma_one(self):
         # K3: the best split scores 1/3 - 5/9 < 0 = 1 - gamma, so no split
         g = complete_graph(3)
-        labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=2, seed=0))
+        labels = recursive_partition(DiffusionOperator(g, 1.0), 2)
         assert np.unique(labels).size == 1
 
     def test_split_factor_above_min_split_size(self):
         # a community of MIN_SPLIT_SIZE = 4 nodes has a 4-vector basis, too
         # few for a 5-way k-means start, so it is no longer split
         g, _ = planted_partition(600, 6, 10.0, 1.0, seed=0)
-        labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=5, seed=0))
+        labels = recursive_partition(DiffusionOperator(g, 1.0), 5)
         assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
 
     def test_recovers_well_separated_blocks(self):
         g, truth = planted_partition(200, 8, 10.0, 0.2, seed=5)
         best = 0.0
         for seed in range(3):
-            labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=2, seed=seed))
+            labels = recursive_partition(DiffusionOperator(g, 1.0), 2, seed=seed)
             best = max(best, purity(labels, truth))
         assert best >= 0.9
 
     def test_never_below_single_community(self, rng):
         for seed in range(5):
             g = random_graph(rng, 40, density=0.15)
-            labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=2, seed=seed))
+            labels = recursive_partition(DiffusionOperator(g, 1.0), 2, seed=seed)
             assert modularity(g, labels, 1.0) >= (1.0 - 1.0) - 1e-12
 
     def test_labels_contiguous(self):
         g, _ = planted_partition(120, 4, 9.0, 0.5, seed=2)
-        labels = recursive_partition(g, MboConfig(gamma=1.0, nhat=2, seed=0))
+        labels = recursive_partition(DiffusionOperator(g, 1.0), 2)
         assert set(labels) == set(range(labels.max() + 1))
 
     def test_determinism(self):
         g, _ = planted_partition(100, 4, 8.0, 1.0, seed=3)
-        config = MboConfig(gamma=1.0, nhat=2, seed=6)
-        a = recursive_partition(g, config)
-        b = recursive_partition(g, config)
+        op = DiffusionOperator(g, 1.0)
+        a = recursive_partition(op, 2, seed=6)
+        b = recursive_partition(op, 2, seed=6)
         assert np.array_equal(a, b)

@@ -18,7 +18,6 @@ import pytest
 
 from balancedtv import (
     DiffusionOperator,
-    MboConfig,
     knn_graph,
     mbo_run,
     modularity,
@@ -57,10 +56,10 @@ def test_planted_partition_matches_louvain(seed):
     reference = louvain_modularity(graph, 1.0)
     operator = DiffusionOperator(graph, 1.0)
     sweep_basis = smallest_eigenpairs(operator, 12)
-    swept = max(sweep_nhat(graph, sweep_basis, range(2, 7), MboConfig(1.0, 6, seed=r)).modularity
+    swept = max(sweep_nhat(sweep_basis, range(2, 7), seed=r).modularity
                 for r in range(2))
     basis = smallest_eigenpairs(operator, 20)
-    fixed = max(mbo_run(graph, basis, MboConfig(1.0, 4, seed=r)).modularity
+    fixed = max(mbo_run(basis, 4, seed=r).modularity
                 for r in range(5))
     assert swept >= reference - SWEEP_MARGIN
     assert fixed >= reference - FIXED_MARGIN
@@ -71,6 +70,6 @@ def test_two_moons_beat_ground_truth(seed):
     features, truth = two_moons(600, 20, seed=seed)
     graph = knn_graph(features, 10)
     basis = smallest_eigenpairs(DiffusionOperator(graph, 0.2), 10)
-    best = max(mbo_run(graph, basis, MboConfig(0.2, 2, seed=r)).modularity
+    best = max(mbo_run(basis, 2, seed=r).modularity
                for r in range(10))
     assert best >= modularity(graph, truth, 0.2) + MOONS_GAIN
