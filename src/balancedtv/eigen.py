@@ -51,6 +51,7 @@ class DiffusionOperator:
             raise ValueError("gamma must be positive and finite")
         if self.graph.total_weight <= 0:
             raise ValueError("operator undefined on a graph with no edges")
+        object.__setattr__(self, "_subgraph_pairs", {})
 
     @property
     def m(self) -> float:
@@ -68,6 +69,29 @@ class DiffusionOperator:
         if v.ndim == 1:
             return k * v - self.graph.adjacency @ v + coeff * (k @ v) * k
         return k[:, None] * v - self.graph.adjacency @ v + coeff * np.outer(k, k @ v)
+
+    def subgraph_basis(self, members: np.ndarray, n_eig: int) -> EigenBasis | None:
+        """The n_eig smallest eigenpairs of the operator, at this gamma, on
+        the subgraph that ``members`` induce; None if it has no edge.
+
+        The pairs are solved once per member set and basis size, always from
+        the same Lanczos start, and cached read-only on this operator.  Only
+        the pairs are kept: each call rebuilds the subgraph and wraps them in
+        a fresh basis.
+        """
+        members = np.asarray(members, dtype=np.int64)
+        sub = self.graph.subgraph(members)
+        if sub.total_weight == 0:
+            return None
+        sub_op = DiffusionOperator(sub, self.gamma)
+        key = (members.tobytes(), n_eig)
+        if key not in self._subgraph_pairs:
+            basis = smallest_eigenpairs(sub_op, n_eig)
+            for arr in (basis.eigenvalues, basis.eigenvectors):
+                arr.flags.writeable = False
+            self._subgraph_pairs[key] = (basis.eigenvalues, basis.eigenvectors)
+            return basis
+        return EigenBasis(sub_op, *self._subgraph_pairs[key])
 
     def infinity_norm_bound(self) -> float:
         """2 (1 + gamma) k_max, an upper bound on the infinity norm of M."""

@@ -80,11 +80,16 @@ def select_timestep(basis: EigenBasis) -> float:
     return float(np.clip(np.sqrt(tau_lo * tau_hi), tau_lo, cap))
 
 
+def _check_dt(dt: float) -> None:
+    # a NaN passes "dt <= 0", and an infinite dt diffuses every label to zero
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
 def diffuse(basis: EigenBasis, u: np.ndarray, dt: float) -> np.ndarray:
     """Projection of exp(-dt*M) u onto the retained eigenbasis:
     V diag(exp(-dt lambda_i)) V^T u."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     u = np.asarray(u, dtype=np.float64)
     if u.shape[0] != basis.n_nodes:
         raise ValueError(
@@ -101,8 +106,7 @@ def fidelity_step(u: np.ndarray, supervision: Supervision, dt: float) -> np.ndar
     Supervised rows relax toward their targets by the factor
     exp(-2 lambda dt); all other entries pass through unchanged.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     u = np.asarray(u, dtype=np.float64)
     supervision.check_against(u.shape[0], u.shape[1])
     out = u.copy()
@@ -175,6 +179,7 @@ def mbo_run(basis: EigenBasis, nhat: int, *, seed: int = 0, dt: float | None = N
             raise ValueError(f"init: labels must lie in [0, {nhat})")
     if dt is None:
         dt = select_timestep(basis)
+    _check_dt(dt)
 
     history = [] if trace else None
     labels, iters, converged = _sweep_to_fixed_point(

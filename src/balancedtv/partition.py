@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigen import DiffusionOperator, EigenBasis, smallest_eigenpairs
+from .eigen import DiffusionOperator, EigenBasis
 from .graph import Supervision, modularity
 from .mbo import DT_CAP_FACTOR, MboResult, mbo_run, select_timestep, timestep_bounds
 
@@ -143,12 +143,16 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
 
     Starts from a single community.  Each community of at least
     ``max(MIN_SPLIT_SIZE, split_factor)`` nodes is split by an MBO run on its
-    induced subgraph (own operator and eigenbasis, k-means initialization
-    seeded from ``seed``) into at most ``split_factor`` parts; the split is
-    kept only if modularity of the whole graph, with the original degrees and
+    induced subgraph into at most ``split_factor`` parts; the split is kept
+    only if modularity of the whole graph, with the original degrees and
     total weight, increases by more than GAIN_TOL.  Accepted parts are
     revisited until no community admits a profitable split.  Returns
     contiguous labels.
+
+    Each subgraph's eigenbasis comes from :meth:`DiffusionOperator.subgraph_basis`:
+    it is solved from a fixed Lanczos start and cached on ``op``, so repeats
+    on one operator solve each member set once.  ``seed`` drives only the
+    k-means initialization of each split.
     """
     if split_factor < 2:
         raise ValueError("split_factor must be at least 2")
@@ -165,14 +169,11 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
         members = pending.pop()
         if members.size < min_size:
             continue
-        sub = graph.subgraph(members)
-        if sub.total_weight == 0:
+        basis = op.subgraph_basis(members, min(5 * split_factor, members.size))
+        if basis is None:
             continue
-        n_eig = min(5 * split_factor, sub.n_nodes)
-        sub_seed = seed + subproblem
+        init = kmeans_init(basis, split_factor, seed=seed + subproblem)
         subproblem += 1
-        basis = smallest_eigenpairs(DiffusionOperator(sub, gamma), n_eig, seed=sub_seed)
-        init = kmeans_init(basis, split_factor, seed=sub_seed)
         result = mbo_run(basis, split_factor, init=init)
 
         parts = np.unique(result.labels)

@@ -15,6 +15,7 @@ from balancedtv import (
     labels_to_matrix,
     mbo_run,
     modularity,
+    planted_partition,
     select_timestep,
     smallest_eigenpairs,
     threshold,
@@ -224,6 +225,20 @@ class TestDecayAndGrowthBounds:
 
 
 class TestMboRun:
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
+    def test_rejects_dt_not_positive_and_finite(self, dt):
+        # a NaN dt once failed inside the loop with "NaN entry in assignment
+        # matrix", and an infinite one put every node into community 0
+        graph, _ = planted_partition(60, 3, 8, 1, seed=0)
+        basis = smallest_eigenpairs(DiffusionOperator(graph, 1.0), 10)
+        message = "dt must be positive and finite"
+        with pytest.raises(ValueError, match=message):
+            mbo_run(basis, 3, dt=dt)
+        with pytest.raises(ValueError, match=message):
+            diffuse(basis, labels_to_matrix(np.zeros(60, dtype=np.int64), 3), dt)
+        with pytest.raises(ValueError, match=message):
+            fidelity_step(np.zeros((60, 3)), Supervision([0], [1], 1.0), dt)
+
     def test_frozen_timestep_returns_init(self, rng):
         for _ in range(5):
             n = int(rng.integers(4, 30))

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import balancedtv.eigen as eigen_mod
+import balancedtv.partition as partition_mod
 from balancedtv import (
     DiffusionOperator,
     Supervision,
@@ -10,10 +14,12 @@ from balancedtv import (
     planted_partition,
     purity,
     recursive_partition,
+    save_edge_list,
     select_timestep,
     smallest_eigenpairs,
     sweep_nhat,
 )
+from balancedtv.cli import main
 from balancedtv.partition import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
@@ -225,3 +231,74 @@ class TestRecursive:
         a = recursive_partition(op, 2, seed=6)
         b = recursive_partition(op, 2, seed=6)
         assert np.array_equal(a, b)
+
+
+class TestSubgraphBasisCache:
+    """Repeats on one operator share each subgraph's eigenpairs."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        # 300 nodes: the first solve takes the Lanczos path
+        return planted_partition(300, 6, 10.0, 1.0, seed=1)[0]
+
+    def test_shared_operator_matches_fresh_ones(self, graph):
+        fresh = [recursive_partition(DiffusionOperator(graph, 1.0), 2, seed=s)
+                 for s in range(4)]
+        for order in (range(4), reversed(range(4))):
+            op = DiffusionOperator(graph, 1.0)
+            for s in order:
+                assert np.array_equal(recursive_partition(op, 2, seed=s), fresh[s])
+
+    def test_rerun_on_one_operator_solves_nothing(self, graph, monkeypatch):
+        calls = []
+        solve = eigen_mod.smallest_eigenpairs
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(eigen_mod, "smallest_eigenpairs", counted)
+        op = DiffusionOperator(graph, 1.0)
+        first = recursive_partition(op, 2, seed=0)
+        assert calls
+        calls.clear()
+        assert np.array_equal(recursive_partition(op, 2, seed=0), first)
+        assert calls == []
+
+    def test_each_split_factor_gets_its_own_basis_size(self, graph, monkeypatch):
+        seen = []
+        init = partition_mod.kmeans_init
+
+        def recorded(basis, nhat, seed=0):
+            seen.append((nhat, basis.n_eig, basis.n_nodes))
+            return init(basis, nhat, seed=seed)
+
+        monkeypatch.setattr(partition_mod, "kmeans_init", recorded)
+        op = DiffusionOperator(graph, 1.0)
+        for split_factor in (2, 3):
+            seen.clear()
+            labels = recursive_partition(op, split_factor)
+            assert seen
+            assert all(nhat == split_factor and n_eig == min(5 * split_factor, n)
+                       for nhat, n_eig, n in seen)
+            fresh = recursive_partition(DiffusionOperator(graph, 1.0), split_factor)
+            assert np.array_equal(labels, fresh)
+
+    def test_cli_repeats_match_single_runs(self, graph, tmp_path):
+        edges = tmp_path / "edges.txt"
+        save_edge_list(edges, graph)
+
+        def run(name, seed, repeat):
+            out = tmp_path / name
+            assert main(["partition", "--edges", str(edges), "--gamma", "1",
+                         "--recursive", "--seed", str(seed), "--repeat", str(repeat),
+                         "--out", str(out)]) == 0
+            rows = [line.split(",")[:2]  # seed and modularity
+                    for line in Path(f"{out}_batch.csv").read_text().splitlines()[1:]]
+            return Path(f"{out}_labels.csv").read_bytes(), rows
+
+        labels, rows = run("all", 0, 3)
+        singles = [run(f"seed{s}", s, 1) for s in range(3)]
+        assert rows == [single_rows[0] for _, single_rows in singles]
+        best = int(np.argmax([float(q) for _, q in rows]))
+        assert labels == singles[best][0]
