@@ -50,7 +50,7 @@ def main():
     start = time.perf_counter()
     features, truth = two_moons(args.n, args.dim, args.noise, seed=args.seed)
     graph = knn_graph(features, args.knn)
-    basis = smallest_eigenpairs(DiffusionOperator(graph, args.gamma), 10, seed=args.seed)
+    basis = smallest_eigenpairs(DiffusionOperator(graph, args.gamma), 10)
     print(f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges "
           f"(setup {time.perf_counter() - start:.2f}s)")
 

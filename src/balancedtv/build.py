@@ -35,8 +35,8 @@ def two_moons(n_points: int, ambient_dim: int, noise_sigma: float = 0.14,
     """
     if ambient_dim < 2:
         raise ValueError("ambient_dim must be at least 2")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:  # NaN fails too
+        raise ValueError("noise_sigma must be finite and nonnegative")
     if n_points < 1:
         raise ValueError("n_points must be positive")
     rng = np.random.default_rng(seed)

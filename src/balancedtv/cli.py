@@ -99,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     met = sub.add_parser("metrics", help="score label files")
     met.add_argument("--pred", required=True)
     met.add_argument("--truth", required=True)
-    met.add_argument("--batch", help="batch CSV from a partition run")
     return parser
 
 
@@ -113,7 +112,7 @@ def parse_args(argv) -> argparse.Namespace:
     parser = _build_parser()
     options = parser.parse_args(argv)
 
-    for attr in ("edges", "features", "supervision", "truth", "pred", "batch"):
+    for attr in ("edges", "features", "supervision", "truth", "pred"):
         path = getattr(options, attr, None)
         if path is not None and not os.path.isfile(path):
             parser.error(f"--{attr.replace('_', '-')}: cannot read file {path!r}")
@@ -131,7 +130,15 @@ def parse_args(argv) -> argparse.Namespace:
             parser.error(f"{flag}: must be at least {least}")
     # k < N is left to the run: it needs the feature file
 
-    if options.command == "partition":
+    if options.command == "generate":
+        bounds = ([("n", 1), ("dim", 2), ("noise", 0)] if options.generator == "two-moons"
+                  else [("n", 1), ("communities", 1), ("degree_in", 0), ("degree_out", 0)])
+        for attr, least in bounds:
+            if not least <= getattr(options, attr) < float("inf"):  # NaN fails too
+                parser.error(f"--{attr.replace('_', '-')}: must be finite and at least {least}")
+        if getattr(options, "communities", 0) > options.n:
+            parser.error("--communities: must not exceed --n")
+    elif options.command == "partition":
         if not 0 < options.gamma < float("inf"):
             parser.error("--gamma: must be positive and finite")
         if options.recursive:
@@ -206,7 +213,7 @@ def _run_partition(options) -> int:
         # measured on planted graphs, a sweep's best partition at 2*MAX pairs
         # matched 5*MAX's; fixed runs were not measured below 5*nhat
         n_eig = 2 * options.sweep[-1] if options.sweep else 5 * options.nhat
-        basis = smallest_eigenpairs(op, min(n_eig, graph.n_nodes), seed=options.seed)
+        basis = smallest_eigenpairs(op, min(n_eig, graph.n_nodes))
 
     # repeats run untraced; only the kept seed is rerun with traces on
     seeds = list(range(options.seed, options.seed + options.repeat))
@@ -220,7 +227,8 @@ def _run_partition(options) -> int:
         cls = classification_rate(labels, truth) if truth is not None else None
         rows.append((seed, q, cls, ms))
 
-    best_idx = int(np.argmax([row[1] for row in rows]))
+    _, mods, classes, times = zip(*rows)
+    best_idx = int(np.argmax(mods))
     best_labels = outcomes[best_idx][0]
     io.save_labels(f"{options.out}_labels.csv", best_labels)
     with open(f"{options.out}_batch.csv", "w") as fh:
@@ -241,11 +249,15 @@ def _run_partition(options) -> int:
             ):
                 fh.write(f"{i},{float(tv)!r},{float(q)!r}\n")
 
-    print(f"runs: {len(rows)}")
-    print(f"best modularity: {max(row[1] for row in rows):.6f}")
+    scores = {"modularity": mods}
     if truth is not None:
-        print(f"best classification: {max(row[2] for row in rows):.6f}")
-    print(f"median wall time: {statistics.median(row[3] for row in rows):.1f} ms")
+        scores["classification"] = classes
+    print(f"runs: {len(rows)}")
+    for name, values in scores.items():
+        print(f"best {name}: {max(values):.6f}")
+    for name, values in scores.items():
+        print(f"{name} consistency (tol {CONSISTENCY_TOL}): {consistency(values):.6f}")
+    print(f"median wall time: {statistics.median(times):.1f} ms")
     return 0
 
 
@@ -272,48 +284,14 @@ def _run_build_graph(options) -> int:
     return 0
 
 
-def _load_batch(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read the ``<out>_batch.csv`` that ``partition`` writes: its modularity
-    column and its classification column, empty when no run was scored."""
-    mods, classes = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != BATCH_HEADER:
-            raise ValueError(f"{path}: expected header {BATCH_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected '{BATCH_HEADER}'")
-            seed, mod, cls, ms = parts
-            try:
-                int(seed)
-                values = [float(mod), float(ms)] + ([float(cls)] if cls else [])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{path}: line {lineno}: non-finite entry")
-            mods.append(values[0])
-            classes.extend(values[2:])
-            if len(classes) not in (0, len(mods)):
-                raise ValueError(f"{path}: line {lineno}: classification on some rows only")
-    if not mods:
-        raise ValueError(f"{path}: no runs after the header")
-    return np.array(mods), np.array(classes)
-
-
 def _run_metrics(options) -> int:
     pred = io.load_labels(options.pred)
     truth = io.load_labels(options.truth)
-    batch = _load_batch(options.batch) if options.batch else ()
+    if pred.size != truth.size:
+        raise ValueError(f"--pred {options.pred} has {pred.size} labels but "
+                         f"--truth {options.truth} has {truth.size}")
     print(f"purity: {purity(pred, truth):.6f}")
     print(f"classification: {classification_rate(pred, truth):.6f}")
-    for name, values in zip(("modularity", "classification"), batch):
-        if values.size:
-            print(f"{name} consistency (tol {CONSISTENCY_TOL}): "
-                  f"{consistency(values):.6f}")
     return 0
 
 

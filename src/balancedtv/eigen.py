@@ -74,10 +74,9 @@ class DiffusionOperator:
         """The n_eig smallest eigenpairs of the operator, at this gamma, on
         the subgraph that ``members`` induce; None if it has no edge.
 
-        The pairs are solved once per member set and basis size, always from
-        the same Lanczos start, and cached read-only on this operator.  Only
-        the pairs are kept: each call rebuilds the subgraph and wraps them in
-        a fresh basis.
+        The pairs are solved once per member set and basis size and cached
+        read-only on this operator.  Only the pairs are kept: each call
+        rebuilds the subgraph and wraps them in a fresh basis.
         """
         members = np.asarray(members, dtype=np.int64)
         sub = self.graph.subgraph(members)
@@ -147,10 +146,6 @@ class EigenBasis:
     def n_nodes(self) -> int:
         return self.eigenvectors.shape[0]
 
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[0])
-
     def validate(self) -> None:
         """Check orthonormality and per-pair residuals against the operator."""
         v = self.eigenvectors
@@ -172,15 +167,16 @@ def dense_spectrum(op: DiffusionOperator) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.eigh(dense)
 
 
-def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, seed: int = 0) -> EigenBasis:
+def smallest_eigenpairs(op: DiffusionOperator, n_eig: int) -> EigenBasis:
     """The n_eig smallest eigenpairs of the diffusion operator.
 
     Uses ARPACK's restarted Lanczos on the folded operator c*I - M
     (c = 2(1+gamma)k_max >= ||M||) so the wanted pairs sit at the easy end of
     the spectrum; graphs below DENSE_SOLVE_LIMIT nodes, or asking for nearly
-    the whole spectrum, skip Krylov for a partial dense solve.
-    Deterministic for a fixed seed.  Raises RuntimeError on non-convergence,
-    reporting the achieved residuals.
+    the whole spectrum, skip Krylov for a partial dense solve.  Lanczos
+    always starts from the same vector, so the basis depends on the operator
+    and n_eig alone.  Raises RuntimeError on non-convergence, reporting the
+    achieved residuals.
     """
     n = op.graph.n_nodes
     if not 1 <= n_eig <= n:
@@ -195,8 +191,7 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int, seed: int = 0) -> Eig
         )
     else:
         bound = op.infinity_norm_bound()
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
+        v0 = np.random.default_rng(0).standard_normal(n)
         folded = spla.LinearOperator(
             (n, n), matvec=lambda v: bound * v - op.apply(v), dtype=np.float64
         )

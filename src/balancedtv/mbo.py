@@ -72,7 +72,7 @@ def select_timestep(basis: EigenBasis) -> float:
     falls back to the cap.
     """
     tau_lo, cap = timestep_bounds(basis.operator)
-    lam1 = basis.lambda_min
+    lam1 = float(basis.eigenvalues[0])
     if lam1 <= 0.0:
         return cap
     u0_norm = np.sqrt(basis.n_nodes)  # Frobenius norm of any partition matrix

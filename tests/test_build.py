@@ -49,6 +49,11 @@ class TestTwoMoons:
         with pytest.raises(ValueError):
             two_moons(10, 1, 0.1, seed=0)
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_rejects_noise_not_finite_and_nonnegative(self, noise):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
+            two_moons(10, 2, noise, seed=0)
+
     def test_ground_truth_has_positive_modularity(self):
         features, labels = two_moons(200, 4, 0.0, seed=1)
         graph = knn_graph(features, 4)

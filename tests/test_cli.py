@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import balancedtv
-from balancedtv import load_labels, save_edge_list, save_labels
+from balancedtv import consistency, load_labels, save_edge_list, save_labels
 from balancedtv.cli import main, parse_args, run
 from conftest import two_cliques
 
@@ -75,6 +75,28 @@ class TestParseArgs:
         assert options.command == "generate"
         assert options.n == 2000
 
+    @pytest.mark.parametrize("argv,message", [
+        ("two-moons --n 0", "--n: must be finite and at least 1"),
+        ("two-moons --dim 1", "--dim: must be finite and at least 2"),
+        ("two-moons --noise -0.1", "--noise: must be finite and at least 0"),
+        ("two-moons --noise nan", "--noise: must be finite and at least 0"),
+        ("two-moons --noise inf", "--noise: must be finite and at least 0"),
+        ("planted --n 0", "--n: must be finite and at least 1"),
+        ("planted --communities 0", "--communities: must be finite and at least 1"),
+        ("planted --n 5 --communities 6", "--communities: must not exceed --n"),
+        ("planted --degree-in -1", "--degree-in: must be finite and at least 0"),
+        ("planted --degree-in nan", "--degree-in: must be finite and at least 0"),
+        ("planted --degree-out inf", "--degree-out: must be finite and at least 0"),
+        ("planted --degree-out -0.5", "--degree-out: must be finite and at least 0"),
+    ])
+    def test_generate_range_checked_at_parse_time(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["generate", *argv.split(), "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_file_named(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["partition", "--edges", "no_such.txt", "--nhat", "2", "--out", "x"])
@@ -130,7 +152,8 @@ class TestParseArgs:
         ("partition --features IN --nhat 2 --out x", "--dt 0.1"),
         ("partition --features IN --nhat 2 --knn 2 --out x", "--scaling-neighbor 1"),
         ("build-graph --features IN --out x", "--scaling-neighbor 1"),
-        ("metrics --pred IN --truth IN --batch IN", "--tol 0.02"),
+        ("metrics --pred IN --truth IN", "--tol 0.02"),
+        ("metrics --pred IN --truth IN", "--batch run_batch.csv"),
         ("partition --features IN --nhat 2 --out x", "--neig 3"),
         ("partition --features IN --sweep 2..4 --out x", "--neig 0"),
         ("partition --features IN --recursive --out x", "--neig 3"),
@@ -145,7 +168,7 @@ class TestParseArgs:
         assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,count", [
-        ("partition", 15), ("build-graph", 3), ("metrics", 3),
+        ("partition", 15), ("build-graph", 3), ("metrics", 2),
     ])
     def test_help_lists_settable_flags(self, capsys, command, count):
         with pytest.raises(SystemExit) as exc:
@@ -265,6 +288,41 @@ class TestEndToEnd:
         trace_lines = Path(f"{out}_trace.csv").read_text().splitlines()
         assert trace_lines[0] == "iteration,balanced_tv,modularity"
         assert len(trace_lines) >= 2
+
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_consistency_lines_match_batch(self, tmp_path, capsys, scored):
+        edges, truth = write_planted(tmp_path, 90, 3)
+        out = tmp_path / "run"
+        scoring = ["--truth", str(truth)] if scored else []
+        assert main(["partition", "--edges", str(edges), "--nhat", "5",
+                     "--repeat", "8", *scoring, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = [line.split(",")
+                for line in Path(f"{out}_batch.csv").read_text().splitlines()[1:]]
+        expected = [("modularity", [float(row[1]) for row in rows])]
+        if scored:
+            expected.append(("classification", [float(row[2]) for row in rows]))
+        assert [line for line in printed if " consistency (tol" in line] == [
+            f"{name} consistency (tol 0.02): {consistency(values):.6f}"
+            for name, values in expected
+        ]
+
+    @pytest.mark.parametrize("strategy", [["--nhat", "6"], ["--sweep", "4..6"]])
+    def test_seed_row_independent_of_repeat_window(self, tmp_path, strategy):
+        # 300 nodes: the whole-graph basis comes from Lanczos
+        edges, truth = write_planted(tmp_path, 300, 6)
+
+        def seed_rows(name, seed, repeat):
+            out = tmp_path / name
+            assert main(["partition", "--edges", str(edges), *strategy,
+                         "--seed", str(seed), "--repeat", str(repeat),
+                         "--truth", str(truth), "--out", str(out)]) == 0
+            lines = Path(f"{out}_batch.csv").read_text().splitlines()[1:]
+            return {line.split(",")[0]: line.rsplit(",", 1)[0] for line in lines}
+
+        alone = seed_rows("alone", 2, 1)
+        window = seed_rows("window", 1, 3)
+        assert alone["2"] == window["2"]
 
     def test_byte_identical_reruns(self, tmp_path):
         edges = write_cliques(tmp_path)
@@ -529,46 +587,16 @@ class TestEndToEnd:
         assert "purity: 1.0" in printed
         assert "classification: 1.0" in printed
 
-    def test_metrics_batch_consistency(self, tmp_path, capsys):
+    def test_metrics_length_mismatch_names_flags_and_files(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
-        save_labels(pred, [0, 1])
-        batch = tmp_path / "batch.csv"
-        batch.write_text(
-            "seed,modularity,classification,wall_time_ms\n"
-            "0,1.0,1.0,3.0\n1,0.97,0.99,3.0\n2,0.5,0.4,3.0\n"
-        )
-        assert main([
-            "metrics", "--pred", str(pred), "--truth", str(pred),
-            "--batch", str(batch),
-        ]) == 0
-        printed = capsys.readouterr().out.splitlines()
-        # within 2% of the best: 1 of 3 modularities, 2 of 3 classifications
-        assert printed[2:] == ["modularity consistency (tol 0.02): 0.333333",
-                               "classification consistency (tol 0.02): 0.666667"]
-
-    @pytest.mark.parametrize("content,where", [
-        ("node,modularity\n0,1.0\n", "expected header"),
-        ("seed,modularity,classification,wall_time_ms\n0,1.0,,3.0\n1,0.9\n",
-         "line 3"),
-        ("seed,modularity,classification,wall_time_ms\n0,1.0,,3.0\n1,x,,3.0\n",
-         "line 3"),
-        ("seed,modularity,classification,wall_time_ms\n0,nan,,1.0\n", "line 2: non-finite"),
-        ("seed,modularity,classification,wall_time_ms\n0,0.5,inf,1.0\n", "line 2: non-finite"),
-        ("seed,modularity,classification,wall_time_ms\n0,0.5,,-inf\n", "line 2: non-finite"),
-        ("seed,modularity,classification,wall_time_ms\n0,1.0,,3.0\n1,1.0,1.0,3.0\n",
-         "line 3: classification"),
-        ("seed,modularity,classification,wall_time_ms\n\n", "no runs after the header"),
-    ])
-    def test_metrics_batch_rejects_malformed(self, tmp_path, capsys, content, where):
-        pred = tmp_path / "pred.csv"
-        save_labels(pred, [0, 1])
-        batch = tmp_path / "batch.csv"
-        batch.write_text(content)
-        assert main(["metrics", "--pred", str(pred), "--truth", str(pred),
-                     "--batch", str(batch)]) == 1
+        truth = tmp_path / "truth.csv"
+        save_labels(pred, [0, 0, 1])
+        save_labels(truth, [1, 0])
+        assert main(["metrics", "--pred", str(pred), "--truth", str(truth)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""  # the batch is read before anything is printed
-        assert f"{batch}: {where}" in captured.err
+        assert captured.out == ""
+        assert (f"error: --pred {pred} has 3 labels but --truth {truth} has 2"
+                in captured.err)
 
     @pytest.mark.parametrize("flag,name,content", [
         ("--edges", "g.txt", f"0 1 1.0\n1 2 1.0\n2 {2**63 - 1} 1.0\n"),

@@ -33,7 +33,7 @@ def digest(labels):
 @pytest.fixture(scope="module")
 def planted():
     graph, truth = planted_partition(120, 4, 8.0, 1.0, seed=11)
-    basis = smallest_eigenpairs(DiffusionOperator(graph, 1.0), 20, seed=0)
+    basis = smallest_eigenpairs(DiffusionOperator(graph, 1.0), 20)
     return basis, truth
 
 

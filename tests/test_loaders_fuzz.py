@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balancedtv import load_edge_list, load_features, load_label_pairs
-from balancedtv.cli import BATCH_HEADER, _load_batch
 
 MAX_ID = 10**4
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -47,10 +46,6 @@ label_files = with_header(
     st.sampled_from(["node,label", "Node,Label", "node;label", ""]),
     rows(st.tuples(ids, ids), ","),
 )
-batch_files = with_header(
-    st.sampled_from([BATCH_HEADER, BATCH_HEADER.upper(), "seed,modularity", ""]),
-    rows(st.tuples(ids, numbers, st.one_of(numbers, st.just("")), numbers), ","),
-)
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +75,6 @@ def test_edge_list_loads_or_names_line(scratch, text):
 @given(text=label_files)
 def test_label_pairs_load_or_name_line(scratch, text):
     assert_loads_or_names_place(load_label_pairs, scratch, text)
-
-
-@FUZZ
-@given(text=batch_files)
-def test_batch_loads_or_names_line(scratch, text):
-    assert_loads_or_names_place(_load_batch, scratch, text)
 
 
 @FUZZ

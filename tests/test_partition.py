@@ -29,12 +29,12 @@ from balancedtv.partition import (
 from conftest import complete_graph, random_graph, two_cliques
 
 
-def sweep_basis(graph, max_nhat, seed=0):
+def sweep_basis(graph, max_nhat):
     """A basis of 5 * max_nhat pairs (capped at N).  That is more than the
     CLI's sweep default of 2 * MAX: at 2 * max_nhat, two_cliques(5) would get
     an 8-pair basis that splits a repeated eigenvalue and warns."""
     return smallest_eigenpairs(
-        DiffusionOperator(graph, 1.0), min(5 * max_nhat, graph.n_nodes), seed=seed
+        DiffusionOperator(graph, 1.0), min(5 * max_nhat, graph.n_nodes)
     )
 
 
@@ -145,7 +145,7 @@ class TestSweep:
 
     def test_singleton_range_matches_fixed_run(self, rng):
         g = random_graph(rng, 20)
-        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), min(15, g.n_nodes), seed=7)
+        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), min(15, g.n_nodes))
         timesteps = _sweep_timesteps(basis)
         assert select_timestep(basis) in timesteps
         swept = sweep_nhat(basis, [3], seed=7)
@@ -158,7 +158,7 @@ class TestSweep:
 
     def test_timestep_ladder_never_hurts(self, rng):
         g = random_graph(rng, 24, density=0.3)
-        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 15, seed=2)
+        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 15)
         # the best automatic-timestep run over the same counts and seed
         plain = max(mbo_run(basis, nhat, seed=2).modularity for nhat in range(1, 4))
         laddered = sweep_nhat(basis, range(1, 4), seed=2)
@@ -166,7 +166,7 @@ class TestSweep:
 
     def test_best_dominates_every_candidate(self, rng):
         g = random_graph(rng, 18)
-        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 18, seed=3)
+        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 18)
         best = sweep_nhat(basis, range(1, 5), seed=3)
         for nhat in range(1, 5):
             single = sweep_nhat(basis, [nhat], seed=3)
