@@ -29,7 +29,8 @@ def two_moons(n_points: int, ambient_dim: int, noise_sigma: float = 0.14,
     The first moon is the upper unit half-circle centered at the origin; the
     second is the downward arc centered at (1, 0.5), so the arcs interlock.
     Points split evenly between the moons, angles drawn uniformly.  Isotropic
-    Gaussian noise with std ``noise_sigma`` is added to every coordinate.
+    Gaussian noise with std ``noise_sigma`` is added to every coordinate; a
+    ``noise_sigma`` so large that a coordinate overflows raises ValueError.
 
     Returns (features, labels) with labels giving the source moon.
     """
@@ -52,7 +53,10 @@ def two_moons(n_points: int, ambient_dim: int, noise_sigma: float = 0.14,
     features = np.zeros((n_points, ambient_dim))
     features[:, :2] = plane
     if noise_sigma > 0:
-        features += noise_sigma * rng.standard_normal(features.shape)
+        with np.errstate(over="ignore"):
+            features += noise_sigma * rng.standard_normal(features.shape)
+        if not np.isfinite(features).all():
+            raise ValueError(f"noise_sigma {noise_sigma:g} overflows the features")
     labels = np.zeros(n_points, dtype=np.int64)
     labels[n_first:] = 1
     return features, labels

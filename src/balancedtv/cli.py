@@ -19,7 +19,7 @@ import numpy as np
 from . import io, mbo
 from .build import knn_graph, planted_partition, two_moons
 from .eigen import DiffusionOperator, smallest_eigenpairs
-from .graph import Supervision, modularity
+from .graph import Supervision
 from .mbo import mbo_run
 from .metrics import CONSISTENCY_TOL, classification_rate, consistency, purity
 from .partition import recursive_partition, sweep_nhat
@@ -116,8 +116,9 @@ def parse_args(argv) -> argparse.Namespace:
         path = getattr(options, attr, None)
         if path is not None and not os.path.isfile(path):
             parser.error(f"--{attr.replace('_', '-')}: cannot read file {path!r}")
-    if getattr(options, "repeat", 1) < 1:
-        parser.error("--repeat: must be at least 1")
+    for attr, least in (("repeat", 1), ("seed", 0)):
+        if getattr(options, attr, least) < least:
+            parser.error(f"--{attr}: must be at least {least}")
 
     for flag, attr, default, needs, least in DEPENDENT_FLAGS.get(options.command, ()):
         value = getattr(options, attr)
@@ -173,17 +174,12 @@ def _load_graph(options):
 def _partition_once(op, basis, options, supervision, seed):
     start = time.perf_counter()
     if options.recursive:
-        labels = recursive_partition(op, options.split_factor, seed=seed)
-        q = modularity(op.graph, labels, op.gamma)
-        result = None
+        result = recursive_partition(op, options.split_factor, seed=seed)
+    elif options.sweep:
+        result = sweep_nhat(basis, options.sweep, seed=seed, supervision=supervision)
     else:
-        if options.sweep:
-            result = sweep_nhat(basis, options.sweep, seed=seed, supervision=supervision)
-        else:
-            result = mbo_run(basis, options.nhat, seed=seed, supervision=supervision)
-        labels, q = result.labels, result.modularity
-    elapsed_ms = 1000.0 * (time.perf_counter() - start)
-    return labels, q, result, elapsed_ms
+        result = mbo_run(basis, options.nhat, seed=seed, supervision=supervision)
+    return result, 1000.0 * (time.perf_counter() - start)
 
 
 def _run_partition(options) -> int:
@@ -220,17 +216,17 @@ def _run_partition(options) -> int:
     outcomes = [_partition_once(op, basis, options, supervision, s) for s in seeds]
 
     rows = []
-    for seed, (labels, q, result, ms) in zip(seeds, outcomes):
-        if result is not None and not result.converged:
+    for seed, (result, ms) in zip(seeds, outcomes):
+        if not result.converged:
             print(f"warning: seed {seed}: MBO with {result.nhat} communities did "
                   f"not converge in {mbo.MAX_ITERS} iterations", file=sys.stderr)
-        cls = classification_rate(labels, truth) if truth is not None else None
-        rows.append((seed, q, cls, ms))
+        cls = classification_rate(result.labels, truth) if truth is not None else None
+        rows.append((seed, result.modularity, cls, ms))
 
     _, mods, classes, times = zip(*rows)
     best_idx = int(np.argmax(mods))
-    best_labels = outcomes[best_idx][0]
-    io.save_labels(f"{options.out}_labels.csv", best_labels)
+    kept = outcomes[best_idx][0]
+    io.save_labels(f"{options.out}_labels.csv", kept.labels)
     with open(f"{options.out}_batch.csv", "w") as fh:
         fh.write(BATCH_HEADER + "\n")
         for seed, q, cls, ms in rows:
@@ -239,7 +235,6 @@ def _run_partition(options) -> int:
     if options.trace:
         # seeded runs repeat exactly, so rerunning the kept run's seed, count
         # and timestep with traces on reproduces it
-        kept = outcomes[best_idx][2]
         result = mbo_run(basis, kept.nhat, seed=seeds[best_idx], dt=kept.dt_used,
                          supervision=supervision, trace=True)
         with open(f"{options.out}_trace.csv", "w") as fh:
@@ -262,14 +257,22 @@ def _run_partition(options) -> int:
 
 
 def _run_generate(options) -> int:
+    # the parser has checked every other argument of the generators
     if options.generator == "two-moons":
-        features, labels = two_moons(options.n, options.dim, options.noise, options.seed)
+        try:
+            features, labels = two_moons(options.n, options.dim, options.noise, options.seed)
+        except ValueError as exc:
+            raise ValueError(f"--noise {options.noise}: {exc}") from None
         io.save_features(options.out, features)
     else:
-        graph, labels = planted_partition(
-            options.n, options.communities, options.degree_in,
-            options.degree_out, options.seed,
-        )
+        try:
+            graph, labels = planted_partition(
+                options.n, options.communities, options.degree_in,
+                options.degree_out, options.seed,
+            )
+        except ValueError as exc:
+            raise ValueError(f"--degree-in/--degree-out with --n {options.n} and "
+                             f"--communities {options.communities}: {exc}") from None
         io.save_edge_list(options.out, graph)
     if options.labels_out:
         io.save_labels(options.labels_out, labels)

@@ -41,11 +41,11 @@ MAX_ITERS = 300  # sweeps per phase before mbo_run reports converged=False
 
 @dataclass(frozen=True)
 class MboResult:
-    """Outcome of one MBO solve: final assignment and diagnostics."""
+    """Outcome of one MBO solve or recursive partition: labels and diagnostics."""
 
     labels: np.ndarray
     iterations: int
-    dt_used: float
+    dt_used: float | None          # None from recursive_partition: splits pick their own
     energy_trace: np.ndarray       # balanced TV of each thresholded iterate
     modularity_trace: np.ndarray   # its modularity; both empty unless traced
     modularity: float

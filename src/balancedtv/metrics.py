@@ -64,12 +64,12 @@ def classification_rate(predicted, truth) -> float:
 
 
 def consistency(values) -> float:
-    """Fraction of runs whose value reaches (1 - CONSISTENCY_TOL) times the
-    best run's, over one value per run."""
+    """Fraction of runs whose value reaches the best run's less
+    CONSISTENCY_TOL times its magnitude, over one value per run."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("consistency needs at least one run")
     if not np.all(np.isfinite(values)):
         raise ValueError("consistency values must be finite")
     best = values.max()
-    return float(np.mean(values >= (1.0 - CONSISTENCY_TOL) * best))
+    return float(np.mean(values >= best - CONSISTENCY_TOL * abs(best)))

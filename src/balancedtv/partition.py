@@ -137,7 +137,7 @@ def sweep_nhat(basis: EigenBasis, nhats, *, seed: int = 0,
 
 
 def recursive_partition(op: DiffusionOperator, split_factor: int, *,
-                        seed: int = 0) -> np.ndarray:
+                        seed: int = 0) -> MboResult:
     """Recursively split communities of ``op.graph`` while full-graph
     modularity at ``op.gamma`` increases.
 
@@ -146,8 +146,10 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
     induced subgraph into at most ``split_factor`` parts; the split is kept
     only if modularity of the whole graph, with the original degrees and
     total weight, increases by more than GAIN_TOL.  Accepted parts are
-    revisited until no community admits a profitable split.  Returns
-    contiguous labels.
+    revisited until no community admits a profitable split.  Returns an
+    :class:`MboResult` of contiguous labels with ``iterations`` and
+    ``converged`` taken over every split's MBO run; ``dt_used`` is None and
+    the traces are empty.
 
     Each subgraph's eigenbasis comes from :meth:`DiffusionOperator.subgraph_basis`:
     it is solved from a fixed Lanczos start and cached on ``op``, so repeats
@@ -163,7 +165,8 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
     current_q = modularity(graph, labels, gamma)
     pending = [np.arange(graph.n_nodes, dtype=np.int64)]
     next_label = 1
-    subproblem = 0
+    subproblem = iterations = 0
+    converged = True
 
     while pending:
         members = pending.pop()
@@ -175,6 +178,8 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
         init = kmeans_init(basis, split_factor, seed=seed + subproblem)
         subproblem += 1
         result = mbo_run(basis, split_factor, init=init)
+        iterations += result.iterations
+        converged = converged and result.converged
 
         parts = np.unique(result.labels)
         if parts.size < 2:
@@ -190,5 +195,9 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
             for part in parts:
                 pending.append(members[result.labels == part])
 
-    _, contiguous = np.unique(labels, return_inverse=True)
-    return contiguous.astype(np.int64)
+    labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+    empty = np.empty(0)
+    return MboResult(labels=labels, iterations=iterations, dt_used=None,
+                     energy_trace=empty, modularity_trace=empty,
+                     modularity=modularity(graph, labels, gamma),
+                     converged=converged, nhat=int(labels.max()) + 1)

@@ -54,6 +54,11 @@ class TestTwoMoons:
         with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
             two_moons(10, 2, noise, seed=0)
 
+    def test_rejects_noise_that_overflows(self):
+        # raised before numpy's overflow warning, which the suite makes an error
+        with pytest.raises(ValueError, match="noise_sigma 1e\\+308 overflows the features"):
+            two_moons(10, 2, 1e308, seed=0)
+
     def test_ground_truth_has_positive_modularity(self):
         features, labels = two_moons(200, 4, 0.0, seed=1)
         graph = knn_graph(features, 4)

@@ -97,6 +97,18 @@ class TestParseArgs:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        "partition --edges E --nhat 2", "partition --edges E --sweep 2..3",
+        "partition --edges E --recursive", "generate two-moons", "generate planted",
+    ])
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        edges = write_cliques(tmp_path)
+        argv = [str(edges) if arg == "E" else arg for arg in argv.split()]
+        with pytest.raises(SystemExit) as exc:
+            parse_args([*argv, "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "error: --seed: must be at least 0" in capsys.readouterr().err
+
     def test_missing_input_file_named(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["partition", "--edges", "no_such.txt", "--nhat", "2", "--out", "x"])
@@ -520,13 +532,14 @@ class TestEndToEnd:
         labels = load_labels(tmp_path / "rec5_labels.csv")
         assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
 
-    def test_non_convergence_reported(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("strategy", [["--nhat", "3"], ["--recursive"]])
+    def test_non_convergence_reported(self, tmp_path, capsys, monkeypatch, strategy):
         import balancedtv.mbo as mbo_mod
 
         monkeypatch.setattr(mbo_mod, "MAX_ITERS", 1)
         edges, _ = write_planted(tmp_path, 90, 3)
         options = parse_args([
-            "partition", "--edges", str(edges), "--nhat", "3", "--seed", "4",
+            "partition", "--edges", str(edges), *strategy, "--seed", "4",
             "--out", str(tmp_path / "short"),
         ])
         assert run(options) == 0
@@ -610,6 +623,19 @@ class TestEndToEnd:
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert f"error: {path}: line 3: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        ("two-moons --n 10 --dim 2 --noise 1e308",
+         "--noise 1e+308: noise_sigma 1e+308 overflows the features"),
+        ("planted --n 10 --communities 2 --degree-in 20",
+         "--degree-in/--degree-out with --n 10 and --communities 2: "
+         "within-block edge probability 5 outside [0, 1]"),
+    ])
+    def test_infeasible_generator_values_named(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.txt"
+        assert main(["generate", *argv.split(), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

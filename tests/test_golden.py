@@ -70,7 +70,7 @@ def test_sweep(planted):
 
 def test_recursive():
     graph, _ = planted_partition(200, 8, 8.0, 0.5, seed=4)
-    labels = recursive_partition(DiffusionOperator(graph, 1.0), 2, seed=2)
+    labels = recursive_partition(DiffusionOperator(graph, 1.0), 2, seed=2).labels
     assert digest(labels) == (
         "2901493d90e438a67da3cedf637fe09e257ffc3f8763f60a4fd59adfd5a4a46f")
     assert labels.max() + 1 == 8
@@ -80,7 +80,7 @@ def test_recursive():
 def test_recursive_through_lanczos():
     # 600 nodes: the whole graph and its first splits are solved by Lanczos
     graph, _ = planted_partition(600, 6, 10.0, 1.0, seed=5)
-    labels = recursive_partition(DiffusionOperator(graph, 1.0), 2, seed=3)
+    labels = recursive_partition(DiffusionOperator(graph, 1.0), 2, seed=3).labels
     assert digest(labels) == (
         "a194dbe4aa2ce06b4f4c1f2525b1a5e94cf5b4529aa6c82fdd0650969a8036cf")
     assert labels.max() + 1 == 6

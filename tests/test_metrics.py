@@ -114,14 +114,18 @@ class TestClassificationRate:
 
 
 class TestConsistency:
-    def test_all_equal(self):
-        assert consistency(np.array([0.8, 0.8, 0.8])) == 1.0
+    @pytest.mark.parametrize("value", [0.8, -1.0])
+    def test_all_equal(self, value):
+        # a negative best used to set its bound above itself
+        assert consistency(np.array([value, value, value])) == 1.0
 
     def test_only_best_qualifies(self):
         assert consistency(np.array([1.0, 0.97, 0.5])) == pytest.approx(1 / 3)
 
-    def test_within_two_percent_of_best_qualifies(self):
-        assert consistency([0.99, 1.0, 0.985, 0.975]) == 0.75
+    @pytest.mark.parametrize("values", [[0.99, 1.0, 0.985, 0.975],
+                                        [-1.01, -1.0, -1.015, -1.025]])
+    def test_within_two_percent_of_best_qualifies(self, values):
+        assert consistency(values) == 0.75
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least one run"):

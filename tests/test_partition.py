@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import balancedtv.eigen as eigen_mod
+import balancedtv.mbo as mbo_mod
 import balancedtv.partition as partition_mod
 from balancedtv import (
     DiffusionOperator,
@@ -196,40 +197,62 @@ class TestRecursive:
     def test_triangle_stays_whole_at_gamma_one(self):
         # K3: the best split scores 1/3 - 5/9 < 0 = 1 - gamma, so no split
         g = complete_graph(3)
-        labels = recursive_partition(DiffusionOperator(g, 1.0), 2)
+        labels = recursive_partition(DiffusionOperator(g, 1.0), 2).labels
         assert np.unique(labels).size == 1
 
     def test_split_factor_above_min_split_size(self):
         # a community of MIN_SPLIT_SIZE = 4 nodes has a 4-vector basis, too
         # few for a 5-way k-means start, so it is no longer split
         g, _ = planted_partition(600, 6, 10.0, 1.0, seed=0)
-        labels = recursive_partition(DiffusionOperator(g, 1.0), 5)
+        labels = recursive_partition(DiffusionOperator(g, 1.0), 5).labels
         assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
 
     def test_recovers_well_separated_blocks(self):
         g, truth = planted_partition(200, 8, 10.0, 0.2, seed=5)
         best = 0.0
         for seed in range(3):
-            labels = recursive_partition(DiffusionOperator(g, 1.0), 2, seed=seed)
+            labels = recursive_partition(DiffusionOperator(g, 1.0), 2, seed=seed).labels
             best = max(best, purity(labels, truth))
         assert best >= 0.9
 
     def test_never_below_single_community(self, rng):
         for seed in range(5):
             g = random_graph(rng, 40, density=0.15)
-            labels = recursive_partition(DiffusionOperator(g, 1.0), 2, seed=seed)
+            labels = recursive_partition(DiffusionOperator(g, 1.0), 2, seed=seed).labels
             assert modularity(g, labels, 1.0) >= (1.0 - 1.0) - 1e-12
 
     def test_labels_contiguous(self):
         g, _ = planted_partition(120, 4, 9.0, 0.5, seed=2)
-        labels = recursive_partition(DiffusionOperator(g, 1.0), 2)
+        labels = recursive_partition(DiffusionOperator(g, 1.0), 2).labels
         assert set(labels) == set(range(labels.max() + 1))
+
+    def test_result_describes_the_run(self, monkeypatch):
+        runs = []
+        solve = partition_mod.mbo_run
+
+        def recorded(*args, **kwargs):
+            runs.append(solve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(partition_mod, "mbo_run", recorded)
+        g, _ = planted_partition(120, 4, 9.0, 0.5, seed=2)
+        result = recursive_partition(DiffusionOperator(g, 1.0), 2)
+        assert result.modularity == modularity(g, result.labels, 1.0)
+        assert result.nhat == result.labels.max() + 1 == 4
+        assert result.iterations == sum(run.iterations for run in runs) > 0
+        assert result.converged and result.dt_used is None
+        assert result.energy_trace.size == result.modularity_trace.size == 0
+
+    def test_unconverged_split_reported(self, monkeypatch):
+        monkeypatch.setattr(mbo_mod, "MAX_ITERS", 1)
+        g, _ = planted_partition(120, 4, 9.0, 0.5, seed=2)
+        assert not recursive_partition(DiffusionOperator(g, 1.0), 2).converged
 
     def test_determinism(self):
         g, _ = planted_partition(100, 4, 8.0, 1.0, seed=3)
         op = DiffusionOperator(g, 1.0)
-        a = recursive_partition(op, 2, seed=6)
-        b = recursive_partition(op, 2, seed=6)
+        a = recursive_partition(op, 2, seed=6).labels
+        b = recursive_partition(op, 2, seed=6).labels
         assert np.array_equal(a, b)
 
 
@@ -242,12 +265,12 @@ class TestSubgraphBasisCache:
         return planted_partition(300, 6, 10.0, 1.0, seed=1)[0]
 
     def test_shared_operator_matches_fresh_ones(self, graph):
-        fresh = [recursive_partition(DiffusionOperator(graph, 1.0), 2, seed=s)
+        fresh = [recursive_partition(DiffusionOperator(graph, 1.0), 2, seed=s).labels
                  for s in range(4)]
         for order in (range(4), reversed(range(4))):
             op = DiffusionOperator(graph, 1.0)
             for s in order:
-                assert np.array_equal(recursive_partition(op, 2, seed=s), fresh[s])
+                assert np.array_equal(recursive_partition(op, 2, seed=s).labels, fresh[s])
 
     def test_rerun_on_one_operator_solves_nothing(self, graph, monkeypatch):
         calls = []
@@ -259,10 +282,10 @@ class TestSubgraphBasisCache:
 
         monkeypatch.setattr(eigen_mod, "smallest_eigenpairs", counted)
         op = DiffusionOperator(graph, 1.0)
-        first = recursive_partition(op, 2, seed=0)
+        first = recursive_partition(op, 2, seed=0).labels
         assert calls
         calls.clear()
-        assert np.array_equal(recursive_partition(op, 2, seed=0), first)
+        assert np.array_equal(recursive_partition(op, 2, seed=0).labels, first)
         assert calls == []
 
     def test_each_split_factor_gets_its_own_basis_size(self, graph, monkeypatch):
@@ -277,11 +300,11 @@ class TestSubgraphBasisCache:
         op = DiffusionOperator(graph, 1.0)
         for split_factor in (2, 3):
             seen.clear()
-            labels = recursive_partition(op, split_factor)
+            labels = recursive_partition(op, split_factor).labels
             assert seen
             assert all(nhat == split_factor and n_eig == min(5 * split_factor, n)
                        for nhat, n_eig, n in seen)
-            fresh = recursive_partition(DiffusionOperator(graph, 1.0), split_factor)
+            fresh = recursive_partition(DiffusionOperator(graph, 1.0), split_factor).labels
             assert np.array_equal(labels, fresh)
 
     def test_cli_repeats_match_single_runs(self, graph, tmp_path):
