@@ -8,6 +8,7 @@ floats, one row per point, no header.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -139,7 +140,8 @@ def save_labels(path, labels) -> None:
 
 def load_features(path) -> np.ndarray:
     """Read a headerless float CSV into an N x d feature matrix; a malformed
-    line is reported with its 1-based number."""
+    line, or the first with a non-finite entry, is reported with its 1-based
+    number."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -148,23 +150,31 @@ def load_features(path) -> np.ndarray:
         raise ValueError(f"{path}: {_first_bad_feature_line(path) or exc}") from None
     if values.size == 0:
         raise ValueError(f"{path}: empty feature file")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: non-finite feature entries")
+    non_finite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if non_finite.size:
+        lineno, _ = next(itertools.islice(_feature_lines(path), non_finite[0], None))
+        raise ValueError(f"{path}: line {lineno}: non-finite feature entry")
     return values
+
+
+def _feature_lines(path):
+    """Yield (1-based number, text) for each line np.loadtxt reads as a row."""
+    with open(path, errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.split("#", 1)[0].rstrip("\n"):  # loadtxt skips other lines
+                yield lineno, line
 
 
 def _first_bad_feature_line(path) -> str | None:
     """``line n: why`` for the first line np.loadtxt rejects, read alone."""
     widths = []
-    with open(path, errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.split("#", 1)[0].rstrip("\n"):  # loadtxt skips other lines
-                try:
-                    widths.append(np.loadtxt([line], delimiter=",").size)
-                except ValueError:
-                    return f"line {lineno}: non-numeric entry in {line.strip()!r}"
-                if widths[-1] != widths[0]:
-                    return f"line {lineno}: {widths[-1]} values, the first row has {widths[0]}"
+    for lineno, line in _feature_lines(path):
+        try:
+            widths.append(np.loadtxt([line], delimiter=",").size)
+        except ValueError:
+            return f"line {lineno}: non-numeric entry in {line.strip()!r}"
+        if widths[-1] != widths[0]:
+            return f"line {lineno}: {widths[-1]} values, the first row has {widths[0]}"
     return None
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,22 +101,72 @@ class TestKnnGraph:
         with pytest.raises(ValueError, match="^point 1: all 2 nearest neighbors coincide"):
             knn_graph(pts, k=2)
 
-    @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
-    def test_blocked_search_matches_one_block(self, monkeypatch, rng, rows_per_block):
+    @pytest.mark.parametrize("budget", [1, 4_000, 9_000, 150_000])
+    def test_blocked_search_matches_one_block(self, monkeypatch, rng, budget):
         # integer coordinates keep every squared distance exact, so the graphs
-        # must agree bit for bit whatever rows share a block
-        grid = rng.choice(20**3, size=40, replace=False)
+        # must agree bit for bit whatever rows and columns share a tile
+        grid = rng.choice(20**3, size=150, replace=False)
         pts = np.stack(np.unravel_index(grid, (20, 20, 20)), axis=1).astype(float)
-        pts[38:] = pts[0]  # point 0's two nearest neighbors coincide with it
+        pts[148:] = pts[0]  # point 0's two nearest neighbors coincide with it
         one_block = knn_graph(pts, k=3)
-        monkeypatch.setattr(build_mod, "KNN_BLOCK_BYTES", 8 * len(pts) * rows_per_block)
+        monkeypatch.setattr(build_mod, "KNN_BLOCK_BYTES", budget)
+        rows, cols = build_mod._knn_tiles(len(pts), 3)
+        assert rows < len(pts) and cols < len(pts)
         blocked = knn_graph(pts, k=3)
-        assert one_block.adjacency[0, 38] == 1.0  # duplicates: d=0, weight 1
+        assert one_block.adjacency[0, 148] == 1.0  # duplicates: d=0, weight 1
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(blocked.adjacency, field),
                                   getattr(one_block.adjacency, field))
         assert np.array_equal(blocked.degrees, one_block.degrees)
         assert blocked.total_weight == one_block.total_weight
+
+    @pytest.mark.parametrize("kind", ["grid", "continuous"])
+    @pytest.mark.parametrize("n,k,budget,duplicates", [
+        (150, 4, 10_000, False),   # 7 x 64 tiles: 150 divides by neither
+        (50, 4, None, False),      # one tile larger than the input
+        (150, 149, 40_000, False),  # k = n - 1: every column tile taken whole
+        (150, 4, 10_000, True),
+    ], ids=["ragged", "one-tile", "k=n-1", "duplicates"])
+    def test_search_matches_brute_force(self, monkeypatch, rng, kind, n, k, budget,
+                                        duplicates):
+        if kind == "grid":  # few distinct distances: exact ties everywhere
+            grid = rng.choice(8**3, size=n, replace=False)
+            pts = np.stack(np.unravel_index(grid, (8, 8, 8)), axis=1).astype(float)
+        else:  # on a 2^-20 grid, so every squared distance is still exact
+            pts = np.round(rng.standard_normal((n, 3)) * 2**20) / 2**20
+        if duplicates:
+            pts[-12:] = pts[rng.integers(0, n - 12, size=12)]
+        if budget is not None:
+            monkeypatch.setattr(build_mod, "KNN_BLOCK_BYTES", budget)
+        sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(sq, np.inf)
+        want = np.argsort(sq, axis=1, kind="stable")[:, :k]
+        dist, idx = build_mod._knn_distances(pts, k)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(dist, np.sqrt(np.take_along_axis(sq, want, axis=1)))
+
+    def test_search_memory_bounded(self, rng):
+        # numpy reports its buffers to tracemalloc, so the peak repeats
+        # exactly; past the search's working set, 160 bytes per directed
+        # edge cover the outputs and the graph assembly (about 125 measured)
+        n, k = 3000, 10
+        pts = rng.standard_normal((n, 20))
+        tracemalloc.start()
+        try:
+            knn_graph(pts, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < build_mod.KNN_BLOCK_BYTES + 160 * n * k
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_feature_named_before_search(self, rng, value):
+        # raised before the search, whose warnings the suite makes errors
+        pts = rng.standard_normal((50, 3))
+        pts[7, 1] = value
+        pts[9, 0] = value
+        with pytest.raises(ValueError, match="^point 7: non-finite feature$"):
+            knn_graph(pts, k=4)
 
     def test_parameter_validation(self):
         pts = np.zeros((5, 1))
@@ -204,6 +256,14 @@ class TestFileFormats:
                                              "a 5000000001-node graph") as exc:
             load_edge_list(path)
         assert str(path) in str(exc.value)
+
+    def test_non_finite_feature_names_line(self, tmp_path):
+        # comment and blank lines count, as for a malformed line
+        path = tmp_path / "f.csv"
+        path.write_text("# x,y\n1,2\n\n3,nan\n4,inf\n")
+        with pytest.raises(ValueError, match="line 4: non-finite feature entry") as exc:
+            load_features(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "g.txt"

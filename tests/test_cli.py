@@ -590,6 +590,13 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert f"error: --knn {knn} on --features {pts}: {problem}" in err
 
+    def test_non_finite_feature_line_named(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n1,1\nnan,2\n3,3\n")
+        assert main(["partition", "--features", str(pts), "--knn", "2", "--nhat", "2",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert f"error: {pts}: line 3: non-finite feature entry" in capsys.readouterr().err
+
     def test_metrics_command(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
         truth = tmp_path / "truth.csv"

@@ -2,7 +2,7 @@
 
 Any input either loads or fails with a ValueError whose message starts with
 the file name and then names the offending line, the header or, for feature
-files, an empty or non-finite matrix.  Node ids
+files, an empty matrix.  Node ids
 stay at or below MAX_ID or are at least 2^63 - 1, which the edge-list loader
 rejects: it sizes the graph by the largest id, so an id in between asks for
 a huge allocation rather than failing to parse.
@@ -80,8 +80,23 @@ def test_label_pairs_load_or_name_line(scratch, text):
 @FUZZ
 @given(text=feature_files)
 def test_features_load_or_name_line(scratch, text):
-    assert_loads_or_names_place(load_features, scratch, text,
-                                place="empty feature file|non-finite feature entries")
+    assert_loads_or_names_place(load_features, scratch, text, place="empty feature file")
+
+
+@FUZZ
+@given(text=feature_files)
+def test_non_finite_feature_line_is_the_first(scratch, text):
+    scratch.write_text(text)
+    try:
+        load_features(scratch)
+    except ValueError as exc:
+        where = re.search(r"line (\d+): non-finite feature entry$", str(exc))
+        if where:
+            lines = text.split("\n")[: int(where.group(1))]
+            values = [np.loadtxt([line], delimiter=",") for line in lines
+                      if line.split("#", 1)[0]]
+            assert not np.isfinite(values[-1]).all()
+            assert all(np.isfinite(row).all() for row in values[:-1])
 
 
 @FUZZ
