@@ -36,6 +36,7 @@ from .mbo import (
     diffuse,
     fidelity_step,
     mbo_run,
+    random_start,
     select_timestep,
     threshold,
     timestep_bounds,

@@ -108,10 +108,16 @@ def _knn_distances(features: np.ndarray, k: int):
     """Distances and indices of the k nearest neighbors of every point,
     self excluded, both arrays shaped (n, k) and each row sorted by
     distance, then by index."""
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        sq_norms = np.einsum("ij,ij->i", features, features)
+    # below max/4, |x|^2 + 2|x||y| + |y|^2 and every distance stay finite
+    huge = np.flatnonzero(sq_norms >= np.finfo(np.float64).max / 4)
+    if huge.size:
+        raise ValueError(f"point {huge[0]}: squared norm {sq_norms[huge[0]]:.3g} "
+                         "overflows the pairwise distances; rescale the features")
     n = features.shape[0]
     dist = np.empty((n, k), dtype=np.float64)
     idx = np.empty((n, k), dtype=np.int64)
-    sq_norms = np.einsum("ij,ij->i", features, features)
     rows, cols = _knn_tiles(n, k)
     col_tiles = [(start, min(start + cols, n)) for start in range(0, n, cols)]
     n_cand = sum(min(k, stop - start) for start, stop in col_tiles)
@@ -153,9 +159,9 @@ def knn_graph(features, k: int) -> SparseGraph:
     endpoint lists the other among its k nearest neighbors (union
     symmetrization, realized as an elementwise max).
 
-    A point with a non-finite feature, or whose k nearest neighbors all
-    coincide with it (sigma_i = 0), raises ValueError naming the first such
-    point.
+    A point with a non-finite feature, with a squared norm of max/4 or more
+    (its distances would overflow), or whose k nearest neighbors all coincide
+    with it (sigma_i = 0), raises ValueError naming the first such point.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:

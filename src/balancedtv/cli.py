@@ -20,7 +20,7 @@ from . import io, mbo
 from .build import knn_graph, planted_partition, two_moons
 from .eigen import DiffusionOperator, smallest_eigenpairs
 from .graph import Supervision
-from .mbo import mbo_run
+from .mbo import mbo_run, random_start
 from .metrics import CONSISTENCY_TOL, classification_rate, consistency, purity
 from .partition import recursive_partition, sweep_nhat
 
@@ -178,7 +178,8 @@ def _partition_once(op, basis, options, supervision, seed):
     elif options.sweep:
         result = sweep_nhat(basis, options.sweep, seed=seed, supervision=supervision)
     else:
-        result = mbo_run(basis, options.nhat, seed=seed, supervision=supervision)
+        labels = random_start(basis.n_nodes, options.nhat, seed, supervision)
+        result = mbo_run(basis, options.nhat, labels, supervision=supervision)
     return result, 1000.0 * (time.perf_counter() - start)
 
 
@@ -233,9 +234,10 @@ def _run_partition(options) -> int:
             cls_text = "" if cls is None else repr(cls)
             fh.write(f"{seed},{q!r},{cls_text},{ms:.3f}\n")
     if options.trace:
-        # seeded runs repeat exactly, so rerunning the kept run's seed, count
+        # seeded runs repeat exactly, so rerunning the kept run's start, count
         # and timestep with traces on reproduces it
-        result = mbo_run(basis, kept.nhat, seed=seeds[best_idx], dt=kept.dt_used,
+        start = random_start(basis.n_nodes, kept.nhat, seeds[best_idx], supervision)
+        result = mbo_run(basis, kept.nhat, start, dt=kept.dt_used,
                          supervision=supervision, trace=True)
         with open(f"{options.out}_trace.csv", "w") as fh:
             fh.write("iteration,balanced_tv,modularity\n")

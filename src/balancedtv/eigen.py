@@ -135,6 +135,8 @@ class EigenBasis:
                              f"{self.operator.graph.n_nodes}-node operator")
         if self.eigenvectors.shape[1] != self.eigenvalues.size:
             raise ValueError("one eigenvector column per eigenvalue required")
+        if not (np.isfinite(self.eigenvalues).all() and np.isfinite(self.eigenvectors).all()):
+            raise ValueError("eigenpairs must be finite")  # the MBO loop relies on it
         if np.any(np.diff(self.eigenvalues) < 0):
             raise ValueError("eigenvalues must be ascending")
 
@@ -150,12 +152,12 @@ class EigenBasis:
         """Check orthonormality and per-pair residuals against the operator."""
         v = self.eigenvectors
         gram_err = np.abs(v.T @ v - np.eye(self.n_eig)).max()
-        if gram_err > ORTHO_TOL:
+        if not gram_err <= ORTHO_TOL:  # a NaN fails too
             raise ValueError(f"eigenvector columns not orthonormal (max err {gram_err:.3e})")
         resid = self.operator.apply(v) - v * self.eigenvalues[None, :]
         resid_norms = np.linalg.norm(resid, axis=0)
         worst = float(resid_norms.max())
-        if worst > RESIDUAL_TOL:
+        if not worst <= RESIDUAL_TOL:
             raise ValueError(
                 f"eigenpair residual {worst:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}"
             )
@@ -219,8 +221,8 @@ def smallest_eigenpairs(op: DiffusionOperator, n_eig: int) -> EigenBasis:
         gap = vals[n_eig] - vals[n_eig - 1]
         if gap <= 1e-10 * max(1.0, abs(float(vals[n_eig]))):
             warnings.warn(
-                f"eigenvalue {n_eig - 1} and {n_eig} nearly coincide "
-                f"(gap {gap:.3e}); the truncated basis splits a cluster",
+                f"eigenvalue {n_eig - 1} and {n_eig} nearly coincide on a {n}-node "
+                f"operator; the truncated basis splits a cluster (gap {gap:.3e})",
                 stacklevel=2,
             )
     basis = EigenBasis(op, vals[:n_eig].copy(), vecs[:, :n_eig].copy())

@@ -8,8 +8,8 @@ and balanced-TV reformulations of modularity, a Ginzburg-Landau diagnostic
 energy, and the fidelity-augmented objective for semi-supervised runs.
 
 A partition is an integer label vector of length N.  The N x nhat one-hot
-matrix of :func:`labels_to_matrix` is only the input of the MBO diffusion
-step and of the matrix energies below.
+matrix of :func:`labels_to_matrix` is only the input of the public diffusion
+step and of the matrix energies below; the MBO loop keeps its own.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ relaxation toward supervised targets when a fidelity term is present, and a
 row-wise argmax threshold back to a label vector.  The timestep is picked
 automatically as the geometric mean of a freezing lower bound and a spectral
 decay upper bound, and a refinement phase continues from the fixed point with
-a smaller timestep.
+a smaller timestep.  The public substeps and the loop share one arithmetic.
 """
 
 from __future__ import annotations
@@ -16,22 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import DiffusionOperator, EigenBasis
-from .graph import (
-    Supervision,
-    balanced_tv,
-    labels_to_matrix,
-    modularity,
-)
+from .graph import Supervision, balanced_tv, labels_to_matrix, modularity
 
-__all__ = [
-    "MboResult",
-    "timestep_bounds",
-    "select_timestep",
-    "diffuse",
-    "fidelity_step",
-    "threshold",
-    "mbo_run",
-]
+__all__ = ["MboResult", "timestep_bounds", "select_timestep", "diffuse", "fidelity_step",
+           "threshold", "random_start", "mbo_run"]
 
 DT_CAP_FACTOR = 1e3  # dt never exceeds this multiple of the freezing bound
 DECAY_EPSILON = 1.0  # target amplitude in the decay-time upper bound
@@ -86,18 +74,31 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
+def _decay(basis: EigenBasis, dt: float) -> np.ndarray:
+    """exp(-dt lambda_i) as a column: diffusion's factor on each coefficient."""
+    return np.exp(-dt * basis.eigenvalues)[:, None]
+
+
+def _project(vectors: np.ndarray, decay: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """V diag(decay) coeffs: the diffusion of u from its coefficients V^T u."""
+    return vectors @ (decay * coeffs)
+
+
+def _relax(u: np.ndarray, supervision: Supervision, targets: np.ndarray, dt: float) -> None:
+    """Exact fidelity solve over dt on the supervised rows of u, in place."""
+    rows = supervision.nodes
+    u[rows] = targets + (u[rows] - targets) * np.exp(-2.0 * supervision.weight * dt)
+
+
 def diffuse(basis: EigenBasis, u: np.ndarray, dt: float) -> np.ndarray:
     """Projection of exp(-dt*M) u onto the retained eigenbasis:
     V diag(exp(-dt lambda_i)) V^T u."""
     _check_dt(dt)
     u = np.asarray(u, dtype=np.float64)
-    if u.shape[0] != basis.n_nodes:
-        raise ValueError(
-            f"assignment has {u.shape[0]} rows for a {basis.n_nodes}-node basis"
-        )
-    coeffs = basis.eigenvectors.T @ u
-    coeffs *= np.exp(-dt * basis.eigenvalues)[:, None]
-    return basis.eigenvectors @ coeffs
+    if u.ndim != 2 or u.shape[0] != basis.n_nodes:
+        raise ValueError(f"assignment of shape {u.shape}: need {basis.n_nodes} rows, one "
+                         "column per community")
+    return _project(basis.eigenvectors, _decay(basis, dt), basis.eigenvectors.T @ u)
 
 
 def fidelity_step(u: np.ndarray, supervision: Supervision, dt: float) -> np.ndarray:
@@ -107,12 +108,9 @@ def fidelity_step(u: np.ndarray, supervision: Supervision, dt: float) -> np.ndar
     exp(-2 lambda dt); all other entries pass through unchanged.
     """
     _check_dt(dt)
-    u = np.asarray(u, dtype=np.float64)
-    supervision.check_against(u.shape[0], u.shape[1])
-    out = u.copy()
-    decay = np.exp(-2.0 * supervision.weight * dt)
-    rows, targets = supervision.nodes, supervision.targets(u.shape[1])
-    out[rows] = targets + (u[rows] - targets) * decay
+    out = np.array(u, dtype=np.float64)
+    supervision.check_against(out.shape[0], out.shape[1])
+    _relax(out, supervision, supervision.targets(out.shape[1]), dt)
     return out
 
 
@@ -127,15 +125,34 @@ def threshold(u: np.ndarray) -> np.ndarray:
     return np.argmax(u, axis=1)
 
 
+def random_start(n_nodes: int, nhat: int, seed: int,
+                 supervision: Supervision | None = None) -> np.ndarray:
+    """The seeded start of an MBO run: ``n_nodes`` labels drawn uniformly
+    from [0, nhat) with ``seed``, the supervised nodes set to their labels."""
+    if nhat < 1:
+        raise ValueError("nhat must be at least 1")
+    labels = np.random.default_rng(seed).integers(0, nhat, size=n_nodes)
+    if supervision is not None:
+        supervision.check_against(n_nodes, nhat)
+        # known labels are known at time zero; starting them anywhere
+        # else only injects seed-dependent transients
+        labels[supervision.nodes] = supervision.labels
+    return labels
+
+
 def _sweep_to_fixed_point(basis, labels, nhat, dt, supervision, history):
-    """Threshold dynamics from ``labels`` until the partition repeats or
-    MAX_ITERS sweeps pass; returns (labels, iterations, converged) and, when
-    ``history`` is a list, appends each iterate's labels to it."""
+    """Threshold dynamics at ``dt`` from ``labels``, inputs checked by the
+    caller, until the partition repeats or MAX_ITERS sweeps pass; returns
+    (labels, iterations, converged) and, when ``history`` is a list, appends
+    each iterate's labels to it."""
+    vectors, decay, identity = basis.eigenvectors, _decay(basis, dt), np.eye(nhat)
+    targets = None if supervision is None else supervision.targets(nhat)
     for iteration in range(1, MAX_ITERS + 1):
-        u_half = diffuse(basis, labels_to_matrix(labels, nhat), dt)
+        coeffs = vectors.T @ identity[labels]  # V^T U, U the labels' one-hot
+        u = _project(vectors, decay, coeffs)
         if supervision is not None:
-            u_half = fidelity_step(u_half, supervision, dt)
-        labels_next = threshold(u_half)
+            _relax(u, supervision, targets, dt)
+        labels_next = np.argmax(u, axis=1)
         if history is not None:
             history.append(labels_next)
         if np.array_equal(labels_next, labels):
@@ -144,15 +161,14 @@ def _sweep_to_fixed_point(basis, labels, nhat, dt, supervision, history):
     return labels, MAX_ITERS, False
 
 
-def mbo_run(basis: EigenBasis, nhat: int, *, seed: int = 0, dt: float | None = None,
-            supervision: Supervision | None = None,
-            init: np.ndarray | None = None, trace: bool = False) -> MboResult:
+def mbo_run(basis: EigenBasis, nhat: int, start: np.ndarray, *, dt: float | None = None,
+            supervision: Supervision | None = None, trace: bool = False) -> MboResult:
     """Run the threshold-dynamics iteration to a fixed point with ``nhat``
     communities on the graph and gamma of ``basis.operator``.
 
-    Starts from ``init`` (a label vector) or from uniform random labels drawn
-    with ``seed``, iterates diffuse / fidelity / threshold until the
-    thresholded partition repeats, then refines from that fixed point with
+    Starts from the label vector ``start`` (:func:`random_start` draws the
+    seeded one), sweeps diffuse / fidelity / threshold until the thresholded
+    partition repeats, then refines from that fixed point with
     ``dt * REFINE_FACTOR`` until stationary again.  ``dt`` defaults to
     :func:`select_timestep`.  Hitting MAX_ITERS in a phase is reported via
     ``converged=False``, not an error.  ``trace`` records every iterate's
@@ -164,19 +180,12 @@ def mbo_run(basis: EigenBasis, nhat: int, *, seed: int = 0, dt: float | None = N
         raise ValueError("nhat must be at least 1")
     if supervision is not None:
         supervision.check_against(graph.n_nodes, nhat)
-    if init is None:
-        labels = np.random.default_rng(seed).integers(0, nhat, size=graph.n_nodes)
-        if supervision is not None:
-            # known labels are known at time zero; starting them anywhere
-            # else only injects seed-dependent transients
-            labels[supervision.nodes] = supervision.labels
-    else:
-        labels = np.asarray(init)
-        if labels.shape != (graph.n_nodes,) or labels.dtype.kind not in "iu":
-            raise ValueError(f"init: expected {graph.n_nodes} integer labels, "
-                             f"got shape {labels.shape} of {labels.dtype}")
-        if np.any((labels < 0) | (labels >= nhat)):
-            raise ValueError(f"init: labels must lie in [0, {nhat})")
+    labels = np.asarray(start)
+    if labels.shape != (graph.n_nodes,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"start: expected {graph.n_nodes} integer labels, "
+                         f"got shape {labels.shape} of {labels.dtype}")
+    if np.any((labels < 0) | (labels >= nhat)):
+        raise ValueError(f"start: labels must lie in [0, {nhat})")
     if dt is None:
         dt = select_timestep(basis)
     _check_dt(dt)
@@ -191,17 +200,10 @@ def mbo_run(basis: EigenBasis, nhat: int, *, seed: int = 0, dt: float | None = N
         )
         iters += extra
 
-    energy_trace = np.array(
-        [balanced_tv(graph, labels_to_matrix(lab, nhat), gamma) for lab in history or []]
-    )
-    modularity_trace = np.array([modularity(graph, lab, gamma) for lab in history or []])
+    history = history or []
     return MboResult(
-        labels=labels,
-        iterations=iters,
-        dt_used=dt,
-        energy_trace=energy_trace,
-        modularity_trace=modularity_trace,
-        modularity=modularity(graph, labels, gamma),
-        converged=converged,
-        nhat=nhat,
-    )
+        labels=labels, iterations=iters, dt_used=dt,
+        energy_trace=np.array([balanced_tv(graph, labels_to_matrix(lab, nhat), gamma)
+                               for lab in history]),
+        modularity_trace=np.array([modularity(graph, lab, gamma) for lab in history]),
+        modularity=modularity(graph, labels, gamma), converged=converged, nhat=nhat)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .eigen import DiffusionOperator, EigenBasis
 from .graph import Supervision, modularity
-from .mbo import DT_CAP_FACTOR, MboResult, mbo_run, select_timestep, timestep_bounds
+from .mbo import DT_CAP_FACTOR, MboResult, mbo_run, random_start, select_timestep, timestep_bounds
 
 __all__ = ["kmeans_init", "sweep_nhat", "recursive_partition"]
 
@@ -109,18 +109,16 @@ def sweep_nhat(basis: EigenBasis, nhats, *, seed: int = 0,
     """Run the MBO solve for each candidate community count and keep the
     partition with the best modularity (ties to the smaller count).
 
-    Every run shares the one eigenbasis ``basis`` and the random start drawn
-    with ``seed``.  Each count is tried across a DT_LADDER-rung geometric
-    ladder of timesteps (the automatic choice always included): fixed points
-    of the threshold dynamics depend on the timestep, and with the basis
-    amortized the extra runs are nearly free.  Counts too small to hold every
-    supervised class are skipped.
+    Every run shares the one eigenbasis ``basis``.  Each count draws one
+    start, ``random_start`` of ``seed``, and tries it across a DT_LADDER-rung
+    geometric ladder of timesteps (the automatic choice always included):
+    fixed points of the threshold dynamics depend on the timestep, and with
+    the basis amortized the extra runs are nearly free.  Counts too small to
+    hold every supervised class are skipped.
     """
     nhats = sorted(set(int(h) for h in nhats))
     if not nhats:
         raise ValueError("empty sweep range")
-    if nhats[0] < 1:
-        raise ValueError("community counts must be at least 1")
     if supervision is not None:
         nhats = [nhat for nhat in nhats if nhat >= supervision.classes]
         if not nhats:
@@ -129,8 +127,9 @@ def sweep_nhat(basis: EigenBasis, nhats, *, seed: int = 0,
     timesteps = _sweep_timesteps(basis)
     best = None
     for nhat in nhats:
+        start = random_start(basis.n_nodes, nhat, seed, supervision)
         for dt in timesteps:
-            result = mbo_run(basis, nhat, seed=seed, dt=dt, supervision=supervision)
+            result = mbo_run(basis, nhat, start, dt=dt, supervision=supervision)
             if best is None or result.modularity > best.modularity:
                 best = result
     return best
@@ -175,9 +174,9 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
         basis = op.subgraph_basis(members, min(5 * split_factor, members.size))
         if basis is None:
             continue
-        init = kmeans_init(basis, split_factor, seed=seed + subproblem)
+        start = kmeans_init(basis, split_factor, seed=seed + subproblem)
         subproblem += 1
-        result = mbo_run(basis, split_factor, init=init)
+        result = mbo_run(basis, split_factor, start)
         iterations += result.iterations
         converged = converged and result.converged
 

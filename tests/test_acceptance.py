@@ -29,6 +29,7 @@ from balancedtv import (
     modularity,
     planted_partition,
     purity,
+    random_start,
     recursive_partition,
     smallest_eigenpairs,
     sweep_nhat,
@@ -53,7 +54,7 @@ def moons_pipeline():
     features, truth = two_moons(2000, 100, noise_sigma=0.14, seed=0)
     graph = knn_graph(features, 13)
     basis = smallest_eigenpairs(DiffusionOperator(graph, 0.2), 10)
-    results = [mbo_run(basis, 2, seed=seed) for seed in range(20)]
+    results = [mbo_run(basis, 2, random_start(basis.n_nodes, 2, seed)) for seed in range(20)]
     elapsed = time.perf_counter() - start
     return {
         "graph": graph,
@@ -85,7 +86,7 @@ def test_criterion_2_supervision_consistency(moons_pipeline):
     rng = np.random.default_rng(0)
     supervised = rng.choice(graph.n_nodes, size=graph.n_nodes // 10, replace=False)
     sup = Supervision(supervised, truth[supervised], weight=100.0)
-    results = [mbo_run(basis, 2, seed=seed, supervision=sup) for seed in range(20)]
+    results = [mbo_run(basis, 2, random_start(basis.n_nodes, 2, seed, sup), supervision=sup) for seed in range(20)]
     sup_consistency = consistency([classification_rate(r.labels, truth) for r in results])
     unsup_consistency = consistency(moons_pipeline["classification"])
     ok = sup_consistency >= 0.9 and sup_consistency >= unsup_consistency

@@ -168,6 +168,20 @@ class TestKnnGraph:
         with pytest.raises(ValueError, match="^point 7: non-finite feature$"):
             knn_graph(pts, k=4)
 
+    def test_overflowing_squared_norm_named_before_search(self, rng):
+        # once overflowed inside the search and failed late with "edge
+        # weights must be finite", naming no point
+        pts = rng.standard_normal((50, 3))
+        pts[7, 1] = 1e200
+        with pytest.raises(ValueError, match="^point 7: squared norm inf overflows"):
+            knn_graph(pts, k=4)
+
+    def test_large_features_keep_their_neighbours(self, rng):
+        pts = rng.standard_normal((50, 3))
+        plain, scaled = knn_graph(pts, k=4), knn_graph(pts * 1e150, k=4)
+        assert np.array_equal(scaled.adjacency.indptr, plain.adjacency.indptr)
+        assert np.array_equal(scaled.adjacency.indices, plain.adjacency.indices)
+
     def test_parameter_validation(self):
         pts = np.zeros((5, 1))
         for k in (0, -1, 5):

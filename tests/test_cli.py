@@ -435,6 +435,28 @@ class TestEndToEnd:
         assert trace_lines[0] == "iteration,balanced_tv,modularity"
         assert len(trace_lines) >= 2
 
+    @pytest.mark.parametrize("strategy", [
+        ["--nhat", "3"], ["--sweep", "2..4"], ["--sweep", "2..4", "--supervision"],
+    ])
+    def test_trace_ends_at_kept_modularity(self, tmp_path, strategy):
+        # the traced rerun starts where the kept run started, so its last
+        # iterate is the kept partition
+        edges, truth_path = write_planted(tmp_path, 90, 3)
+        if strategy[-1] == "--supervision":
+            truth = load_labels(truth_path)
+            sup = tmp_path / "known.csv"
+            sup.write_text("node,label\n" + "".join(
+                f"{np.flatnonzero(truth == b)[0]},{b}\n" for b in range(3)))
+            strategy = [*strategy, str(sup)]
+        out = tmp_path / "run"
+        assert main(["partition", "--edges", str(edges), *strategy,
+                     "--repeat", "3", "--out", str(out), "--trace"]) == 0
+        rows = [line.split(",") for line in
+                Path(f"{out}_batch.csv").read_text().splitlines()[1:]]
+        best = max(rows, key=lambda row: float(row[1]))[1]
+        last = Path(f"{out}_trace.csv").read_text().splitlines()[-1].split(",")
+        assert last[2] == best
+
     def test_sweep_with_more_supervised_classes_than_its_minimum(self, tmp_path):
         edges, truth_path = write_planted(tmp_path, 80, 4)
         truth = load_labels(truth_path)

@@ -221,6 +221,23 @@ class TestBasisValidation:
         with pytest.raises(ValueError):
             bogus.validate()
 
+    @pytest.mark.parametrize("field,entry,message", [
+        ("eigenvectors", (3, 1), "not orthonormal"),
+        ("eigenvalues", 1, "residual nan exceeds"),
+    ])
+    def test_validate_rejects_nan(self, rng, field, entry, message):
+        # each check once read "err > tol", which is False for a NaN err
+        op = DiffusionOperator(random_graph(rng, 20), 1.0)
+        basis = smallest_eigenpairs(op, 4)
+        pairs = {"eigenvalues": basis.eigenvalues.copy(),
+                 "eigenvectors": basis.eigenvectors.copy()}
+        pairs[field][entry] = np.nan
+        with pytest.raises(ValueError, match="eigenpairs must be finite"):
+            EigenBasis(op, **pairs)
+        getattr(basis, field)[entry] = np.nan  # changed after construction
+        with pytest.raises(ValueError, match=message):
+            basis.validate()
+
     @pytest.mark.parametrize("rows", [9, 11])
     def test_rejects_wrong_row_count(self, rng, rows):
         # a basis is one row per node of its operator's graph, so no solve

@@ -16,6 +16,7 @@ from balancedtv import (
     mbo_run,
     modularity,
     planted_partition,
+    random_start,
     select_timestep,
     smallest_eigenpairs,
     threshold,
@@ -57,8 +58,8 @@ class TestSelectTimestep:
     def test_explicit_override(self):
         # an explicit dt is mbo_run's to take; the automatic choice stays put
         basis = full_basis(TWO_NODE, 1.0)
-        assert mbo_run(basis, 2, dt=0.123).dt_used == 0.123
-        assert mbo_run(basis, 2).dt_used == select_timestep(basis) != 0.123
+        assert mbo_run(basis, 2, random_start(2, 2, 0), dt=0.123).dt_used == 0.123
+        assert mbo_run(basis, 2, random_start(2, 2, 0)).dt_used == select_timestep(basis) != 0.123
 
     def test_degenerate_lambda_clamps_to_cap(self):
         basis = EigenBasis(
@@ -125,6 +126,8 @@ class TestDiffuse:
         basis = full_basis(TWO_NODE, 1.0)
         with pytest.raises(ValueError, match="rows"):
             diffuse(basis, np.eye(3), 0.1)
+        with pytest.raises(ValueError, match="rows"):  # a vector, not a matrix
+            diffuse(basis, np.ones(2), 0.1)
 
 
 class TestFidelityStep:
@@ -233,7 +236,7 @@ class TestMboRun:
         basis = smallest_eigenpairs(DiffusionOperator(graph, 1.0), 10)
         message = "dt must be positive and finite"
         with pytest.raises(ValueError, match=message):
-            mbo_run(basis, 3, dt=dt)
+            mbo_run(basis, 3, random_start(basis.n_nodes, 3, 0), dt=dt)
         with pytest.raises(ValueError, match=message):
             diffuse(basis, labels_to_matrix(np.zeros(60, dtype=np.int64), 3), dt)
         with pytest.raises(ValueError, match=message):
@@ -247,7 +250,7 @@ class TestMboRun:
             basis = full_basis(g, gamma)
             tau = 0.9 * np.log(2.0) / (2.0 * (gamma + 1.0) * g.degrees.max())
             init = random_labels(rng, n, 2)
-            result = mbo_run(basis, 2, dt=tau, init=init)
+            result = mbo_run(basis, 2, init, dt=tau)
             # one sweep at dt and one refinement sweep, neither moving a label
             assert result.iterations == 2
             assert np.array_equal(result.labels, init)
@@ -265,7 +268,7 @@ class TestMboRun:
             q = (W[same].sum() - (np.outer(k, k)[same]).sum() / twom) / twom
             best = max(best, q)
         assert best == pytest.approx(0.5)
-        result = mbo_run(basis, 2, seed=1)
+        result = mbo_run(basis, 2, random_start(basis.n_nodes, 2, 1))
         assert result.modularity == pytest.approx(best)
         assert len(set(result.labels[:5])) == 1
         assert len(set(result.labels[5:])) == 1
@@ -277,7 +280,7 @@ class TestMboRun:
         nodes = np.array([0, 5, 9, 13])
         targets = np.array([1, 0, 1, 0])
         sup = Supervision(nodes, targets, weight=1e4)
-        result = mbo_run(basis, 2, seed=2, supervision=sup)
+        result = mbo_run(basis, 2, random_start(basis.n_nodes, 2, 2, sup), supervision=sup)
         assert np.array_equal(result.labels[nodes], targets)
 
     @pytest.mark.parametrize("make_init", [
@@ -288,27 +291,49 @@ class TestMboRun:
         lambda n: np.append(np.arange(n - 1) % 4, 4),
         lambda n: np.append(np.arange(n - 1) % 4, -1),
     ], ids=["short", "long", "one-hot-matrix", "float", "above-nhat", "negative"])
-    def test_init_must_be_labels_below_nhat(self, make_init):
+    def test_start_must_be_labels_below_nhat(self, make_init):
         from balancedtv import planted_partition
 
         g, _ = planted_partition(1000, 6, 10.0, 1.0, seed=0)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 20)
-        with pytest.raises(ValueError, match="^init: "):
-            mbo_run(basis, 4, init=make_init(g.n_nodes))
+        with pytest.raises(ValueError, match="^start: "):
+            mbo_run(basis, 4, make_init(g.n_nodes))
+
+    def test_random_start_is_the_seeded_draw(self, rng):
+        sup = Supervision([3, 8], [2, 0], weight=1.0)
+        for seed in range(3):
+            want = np.random.default_rng(seed).integers(0, 4, size=20)
+            assert np.array_equal(random_start(20, 4, seed), want)
+            want[[3, 8]] = [2, 0]
+            assert np.array_equal(random_start(20, 4, seed, sup), want)
+        with pytest.raises(ValueError, match="nhat must be at least 1"):
+            random_start(20, 0, 0)
+        with pytest.raises(ValueError, match="supervised node id out of range"):
+            random_start(8, 4, 0, sup)
+        with pytest.raises(ValueError, match="need 3 communities, got 2"):
+            random_start(20, 2, 0, sup)
+
+    def test_start_left_unchanged(self, rng):
+        # a sweep runs one start at every timestep
+        basis = smallest_eigenpairs(DiffusionOperator(random_graph(rng, 20), 1.0), 8)
+        start = random_start(20, 3, 4)
+        kept = start.copy()
+        mbo_run(basis, 3, start)
+        assert np.array_equal(start, kept)
 
     def test_supervision_labels_must_fit_nhat(self, rng):
         g = random_graph(rng, 12)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 5)
         sup = Supervision([0, 5], [0, 2], weight=1.0)
         with pytest.raises(ValueError, match="need 3 communities, got 2"):
-            mbo_run(basis, 2, supervision=sup)
-        assert mbo_run(basis, 3, supervision=sup).nhat == 3
+            mbo_run(basis, 2, random_start(basis.n_nodes, 2, 0, sup), supervision=sup)
+        assert mbo_run(basis, 3, random_start(basis.n_nodes, 3, 0, sup), supervision=sup).nhat == 3
 
     def test_determinism(self, rng):
         g = random_graph(rng, 30)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 10)
-        a = mbo_run(basis, 3, seed=11, trace=True)
-        b = mbo_run(basis, 3, seed=11, trace=True)
+        a = mbo_run(basis, 3, random_start(basis.n_nodes, 3, 11), trace=True)
+        b = mbo_run(basis, 3, random_start(basis.n_nodes, 3, 11), trace=True)
         assert np.array_equal(a.labels, b.labels)
         assert a.iterations == b.iterations
         assert a.dt_used == b.dt_used
@@ -318,7 +343,7 @@ class TestMboRun:
     def test_result_consistency(self, rng):
         g = random_graph(rng, 25)
         basis = smallest_eigenpairs(DiffusionOperator(g, 0.8), 10)
-        result = mbo_run(basis, 2, seed=5, trace=True)
+        result = mbo_run(basis, 2, random_start(basis.n_nodes, 2, 5), trace=True)
         assert np.all(np.isfinite(result.energy_trace))
         assert result.modularity == pytest.approx(
             modularity(g, result.labels, 0.8), rel=1e-12
@@ -331,8 +356,10 @@ class TestMboRun:
         sup = Supervision([0, 7, 21], [0, 1, 2], weight=10.0)
         for seed in range(4):
             for supervision in (None, sup):
-                off = mbo_run(basis, 3, seed=seed, supervision=supervision)
-                on = mbo_run(basis, 3, seed=seed, supervision=supervision, trace=True)
+                off = mbo_run(basis, 3, random_start(basis.n_nodes, 3, seed, supervision),
+                              supervision=supervision)
+                on = mbo_run(basis, 3, random_start(basis.n_nodes, 3, seed, supervision),
+                             supervision=supervision, trace=True)
                 assert np.array_equal(off.labels, on.labels)
                 assert off.labels.dtype == on.labels.dtype
                 assert off.iterations == on.iterations
@@ -352,7 +379,7 @@ class TestMboRun:
             g, _ = planted_partition(60, 3, 8.0, 1.0, seed=seed)
             basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 10)
             init = random_labels(np.random.default_rng(seed), 60, 3)
-            result = mbo_run(basis, 3, seed=seed, init=init)
+            result = mbo_run(basis, 3, init)
             q0 = modularity(g, init, 1.0)
             if result.modularity >= q0:
                 improved += 1
@@ -361,7 +388,7 @@ class TestMboRun:
     def test_nhat_one_collapses_immediately(self, rng):
         g = random_graph(rng, 10)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 5)
-        result = mbo_run(basis, 1)
+        result = mbo_run(basis, 1, random_start(basis.n_nodes, 1, 0))
         assert np.all(result.labels == 0)
         assert result.converged
 
@@ -369,13 +396,13 @@ class TestMboRun:
         monkeypatch.setattr(mbo_mod, "MAX_ITERS", 1)
         g = random_graph(rng, 15)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 5)
-        result = mbo_run(basis, 2)
+        result = mbo_run(basis, 2, random_start(basis.n_nodes, 2, 0))
         assert result.iterations <= 1
 
     def test_config_validation(self):
         # gamma is the operator's to check (test_eigen); nhat and dt are checked here
         basis = full_basis(TWO_NODE, 1.0)
         with pytest.raises(ValueError, match="nhat must be at least 1"):
-            mbo_run(basis, 0)
+            mbo_run(basis, 0, random_start(2, 0, 0))
         with pytest.raises(ValueError, match="dt must be positive"):
-            mbo_run(basis, 2, dt=-0.1)
+            mbo_run(basis, 2, random_start(2, 2, 0), dt=-0.1)

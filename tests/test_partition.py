@@ -14,6 +14,7 @@ from balancedtv import (
     modularity,
     planted_partition,
     purity,
+    random_start,
     recursive_partition,
     save_edge_list,
     select_timestep,
@@ -52,7 +53,7 @@ class TestKmeansInit:
     def test_separates_disconnected_cliques(self):
         g = two_cliques(6)
         # the two cliques give a repeated eigenvalue that a 4-pair basis splits
-        with pytest.warns(UserWarning, match="nearly coincide"):
+        with pytest.warns(UserWarning, match="nearly coincide on a 12-node operator"):
             basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 4)
         labels = kmeans_init(basis, 2, seed=0)
         assert labels.dtype == np.int64 and labels.shape == (12,)
@@ -151,7 +152,7 @@ class TestSweep:
         assert select_timestep(basis) in timesteps
         swept = sweep_nhat(basis, [3], seed=7)
         # the first of the best fixed runs over the sweep's own timesteps
-        fixed = max((mbo_run(basis, 3, seed=7, dt=dt) for dt in timesteps),
+        fixed = max((mbo_run(basis, 3, random_start(basis.n_nodes, 3, 7), dt=dt) for dt in timesteps),
                     key=lambda result: result.modularity)
         assert np.array_equal(swept.labels, fixed.labels)
         assert swept.modularity == fixed.modularity
@@ -161,7 +162,7 @@ class TestSweep:
         g = random_graph(rng, 24, density=0.3)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 15)
         # the best automatic-timestep run over the same counts and seed
-        plain = max(mbo_run(basis, nhat, seed=2).modularity for nhat in range(1, 4))
+        plain = max(mbo_run(basis, nhat, random_start(basis.n_nodes, nhat, 2)).modularity for nhat in range(1, 4))
         laddered = sweep_nhat(basis, range(1, 4), seed=2)
         assert laddered.modularity >= plain - 1e-12
 

@@ -22,6 +22,7 @@ from balancedtv import (
     mbo_run,
     modularity,
     planted_partition,
+    random_start,
     smallest_eigenpairs,
     sweep_nhat,
     two_moons,
@@ -59,7 +60,7 @@ def test_planted_partition_matches_louvain(seed):
     swept = max(sweep_nhat(sweep_basis, range(2, 7), seed=r).modularity
                 for r in range(2))
     basis = smallest_eigenpairs(operator, 20)
-    fixed = max(mbo_run(basis, 4, seed=r).modularity
+    fixed = max(mbo_run(basis, 4, random_start(basis.n_nodes, 4, r)).modularity
                 for r in range(5))
     assert swept >= reference - SWEEP_MARGIN
     assert fixed >= reference - FIXED_MARGIN
@@ -70,6 +71,6 @@ def test_two_moons_beat_ground_truth(seed):
     features, truth = two_moons(600, 20, seed=seed)
     graph = knn_graph(features, 10)
     basis = smallest_eigenpairs(DiffusionOperator(graph, 0.2), 10)
-    best = max(mbo_run(basis, 2, seed=r).modularity
+    best = max(mbo_run(basis, 2, random_start(basis.n_nodes, 2, r)).modularity
                for r in range(10))
     assert best >= modularity(graph, truth, 0.2) + MOONS_GAIN
