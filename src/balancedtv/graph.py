@@ -108,10 +108,16 @@ class SparseGraph:
         if np.any(weights < 0):
             raise ValueError("edge weights must be nonnegative")
         # mirror the upper triangle after its repeats are summed, so that
-        # W[i, j] and W[j, i] are the same float
+        # W[i, j] and W[j, i] are the same float.  Self-loops are zeroed, not
+        # dropped: scipy sums repeats after an unstable per-row sort, and with
+        # the rows intact the sums round as in from_scipy(upper + upper.T)
+        weights = np.where(rows == cols, 0.0, weights)
         upper = sp.coo_matrix((weights, (np.minimum(rows, cols), np.maximum(rows, cols))),
                               shape=(n_nodes, n_nodes)).tocsr()
-        return cls.from_scipy(upper + upper.T)
+        upper.eliminate_zeros()
+        if not np.isfinite(upper.data).all():
+            raise ValueError("edge weights must be finite")
+        return cls._from_canonical_csr(upper + upper.T)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseGraph":
@@ -158,10 +164,11 @@ class SparseGraph:
             raise ValueError("stored matrix is not symmetric")
         row_sums = np.asarray(w.sum(axis=1)).ravel()
         scale = max(1.0, float(np.abs(row_sums).max(initial=0.0)))
-        if np.max(np.abs(row_sums - self.degrees), initial=0.0) > VALIDATE_RTOL * scale:
+        # written "not err <= tol" so that a NaN fails too
+        if not np.max(np.abs(row_sums - self.degrees), initial=0.0) <= VALIDATE_RTOL * scale:
             raise ValueError("cached degrees disagree with row sums")
         total = float(self.degrees.sum())
-        if abs(total - self.total_weight) > VALIDATE_RTOL * max(1.0, abs(total)):
+        if not abs(total - self.total_weight) <= VALIDATE_RTOL * max(1.0, abs(total)):
             raise ValueError("cached total weight disagrees with degree sum")
 
 

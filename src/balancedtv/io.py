@@ -9,6 +9,8 @@ floats, one row per point, no header.
 from __future__ import annotations
 
 import itertools
+import mmap
+import os
 import warnings
 
 import numpy as np
@@ -37,6 +39,43 @@ def load_edge_list(path) -> SparseGraph:
     reported with their 1-based line number, as is the largest index when
     the graph it sizes does not fit in memory.
     """
+    return _numpy_or_per_line(path, _read_edge_list, _parse_edge_lines)
+
+
+def _read_edge_list(path) -> SparseGraph | None:
+    if not os.path.isfile(path):  # a pipe can be read only once
+        return None
+    edges = np.loadtxt(path, dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)],
+                       comments="#", ndmin=1)
+    i, j, w = edges["i"], edges["j"], edges["w"]
+    top = max(i.max(initial=0), j.max(initial=0))
+    # np.sum is pairwise where _parse_edge_lines adds in file order: half the
+    # limit keeps the two from disagreeing near it
+    if (not edges.size or min(i.min(), j.min()) < 0 or top >= np.iinfo(np.int64).max
+            or not np.all((w >= 0) & (w < np.inf)) or w.sum() > WEIGHT_SUM_LIMIT / 2
+            or _data_before_hash(path)):
+        return None
+    try:
+        return SparseGraph.from_coo(int(top) + 1, i, j, w)
+    except MemoryError:  # _parse_edge_lines names the line of the largest id
+        return None
+
+
+def _data_before_hash(path) -> bool:
+    """Whether data precede a ``#`` on its line, which np.loadtxt reads as a
+    comment and _parse_edge_lines rejects.  Python work per ``#``, not per line."""
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
+        lo, pos = 0, text.find(b"#")
+        while pos != -1:  # a '#' with no line break since the last is in its comment
+            brk = max(text.rfind(b"\n", lo, pos), text.rfind(b"\r", lo, pos))
+            if (brk != -1 or lo == 0) and text[brk + 1:pos].strip():
+                return True
+            lo, pos = pos + 1, text.find(b"#", pos + 1)
+    return False
+
+
+def _parse_edge_lines(path) -> SparseGraph:
+    """load_edge_list one line at a time, naming the first bad line."""
     rows, cols, weights = [], [], []
     total, n_nodes, top_line = 0.0, 0, 0  # top_line: where the largest index is
     with open(path) as fh:
@@ -102,6 +141,25 @@ def load_label_pairs(path) -> tuple[np.ndarray, np.ndarray]:
     nodes, each at most once; used as is for supervision files.  Entries
     outside [0, 2^63) are reported with their line.  Returns (nodes, labels)
     in file order."""
+    return _numpy_or_per_line(path, _read_label_pairs, _parse_label_lines)
+
+
+def _read_label_pairs(path) -> tuple[np.ndarray, np.ndarray] | None:
+    if not os.path.isfile(path):  # a pipe can be read only once
+        return None
+    with open(path) as fh:
+        if fh.readline().strip().lower() != "node,label":
+            return None
+    pairs = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2, comments=None)
+    if pairs.shape[1] != 2 or pairs.min(initial=0) < 0:
+        return None
+    nodes, labels = pairs.T
+    ordered = np.sort(nodes)  # far faster than np.unique
+    return None if np.any(ordered[1:] == ordered[:-1]) else (nodes, labels)
+
+
+def _parse_label_lines(path) -> tuple[np.ndarray, np.ndarray]:
+    """load_label_pairs one line at a time, naming the first bad line."""
     line_of, labels = {}, []  # node -> its line, in file order
     with open(path) as fh:
         header = fh.readline()
@@ -134,20 +192,16 @@ def save_labels(path, labels) -> None:
     labels = np.asarray(labels, dtype=np.int64).ravel()
     with open(path, "w") as fh:
         fh.write("node,label\n")
-        for node, label in enumerate(labels):
-            fh.write(f"{node},{label}\n")
+        fh.writelines(f"{node},{label}\n" for node, label in enumerate(labels.tolist()))
 
 
 def load_features(path) -> np.ndarray:
     """Read a headerless float CSV into an N x d feature matrix; a malformed
     line, or the first with a non-finite entry, is reported with its 1-based
     number."""
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {_first_bad_feature_line(path) or exc}") from None
+    values = _numpy_or_per_line(
+        path, lambda path: np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2),
+        _name_bad_feature_line)
     if values.size == 0:
         raise ValueError(f"{path}: empty feature file")
     non_finite = np.flatnonzero(~np.isfinite(values).all(axis=1))
@@ -155,6 +209,20 @@ def load_features(path) -> np.ndarray:
         lineno, _ = next(itertools.islice(_feature_lines(path), non_finite[0], None))
         raise ValueError(f"{path}: line {lineno}: non-finite feature entry")
     return values
+
+
+def _numpy_or_per_line(path, read, per_line):
+    """read(path): the whole file parsed by np.loadtxt and checked with
+    vectorised tests, or None where they are not sure of it.  For that file,
+    and where read raises ValueError, per_line(path): the file read again
+    line by line, which names the bad line or returns what read would have."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # np.loadtxt warns on an empty file
+            result = read(path)
+    except ValueError:
+        result = None
+    return per_line(path) if result is None else result
 
 
 def _feature_lines(path):
@@ -165,17 +233,24 @@ def _feature_lines(path):
                 yield lineno, line
 
 
-def _first_bad_feature_line(path) -> str | None:
-    """``line n: why`` for the first line np.loadtxt rejects, read alone."""
+def _name_bad_feature_line(path):
+    """Raise the error for a feature file np.loadtxt rejects, naming the
+    first line it rejects read alone; where no line alone is at fault (an
+    undecodable byte inside a comment), numpy's own message."""
     widths = []
     for lineno, line in _feature_lines(path):
         try:
             widths.append(np.loadtxt([line], delimiter=",").size)
         except ValueError:
-            return f"line {lineno}: non-numeric entry in {line.strip()!r}"
+            raise ValueError(f"{path}: line {lineno}: non-numeric entry in "
+                             f"{line.strip()!r}") from None
         if widths[-1] != widths[0]:
-            return f"line {lineno}: {widths[-1]} values, the first row has {widths[0]}"
-    return None
+            raise ValueError(f"{path}: line {lineno}: {widths[-1]} values, "
+                             f"the first row has {widths[0]}")
+    try:
+        np.loadtxt(path, delimiter=",")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_features(path, features) -> None:

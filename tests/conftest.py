@@ -76,6 +76,16 @@ def complete_graph(n, weight=1.0):
     return SparseGraph.from_dense(dense)
 
 
+def assert_same_graph(a, b):
+    """The two graphs store the same CSR arrays, degrees and 2m, dtypes too."""
+    pairs = [(getattr(a.adjacency, f), getattr(b.adjacency, f))
+             for f in ("indptr", "indices", "data")]
+    for x, y in pairs + [(a.degrees, b.degrees)]:
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert a.n_nodes == b.n_nodes
+    assert a.total_weight == b.total_weight
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,9 +1,11 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import balancedtv.build as build_mod
+import balancedtv.io as io_mod
 from balancedtv import (
     SparseGraph,
     cut,
@@ -19,6 +21,7 @@ from balancedtv import (
     save_labels,
     two_moons,
 )
+from conftest import assert_same_graph
 
 
 class TestTwoMoons:
@@ -300,6 +303,47 @@ class TestFileFormats:
         save_labels(path, labels)
         assert np.array_equal(load_labels(path), labels)
         assert path.read_text().splitlines()[0] == "node,label"
+
+    @pytest.mark.parametrize("labels", [
+        [], [3], np.random.default_rng(5).integers(0, 2**63 - 1, 50, endpoint=True),
+    ])
+    def test_save_labels_bytes(self, tmp_path, labels):
+        path = tmp_path / "labels.csv"
+        save_labels(path, labels)
+        rows = "".join(f"{node},{label}\n" for node, label in enumerate(labels))
+        assert path.read_bytes() == f"node,label\n{rows}".encode()
+
+    def test_benchmark_format_loads_without_the_per_line_parsers(self, tmp_path, monkeypatch,
+                                                                 rng):
+        def per_line(path):
+            raise AssertionError(f"{path} fell back on the per-line parser")
+        monkeypatch.setattr(io_mod, "_parse_edge_lines", per_line)
+        monkeypatch.setattr(io_mod, "_parse_label_lines", per_line)
+        rows, cols = rng.integers(0, 300, (2, 1000))
+        edges, truth = tmp_path / "edges.txt", tmp_path / "truth.csv"
+        with open(edges, "w") as fh:
+            fh.write("# i j w\n# seed #7\n")
+            np.savetxt(fh, np.column_stack([rows, cols]), fmt="%d %d 1")
+        labels = rng.integers(0, 4, 300)
+        save_labels(truth, labels)
+        reference = SparseGraph.from_coo(int(max(rows.max(), cols.max())) + 1, rows, cols,
+                                         np.ones(rows.size))
+        assert_same_graph(load_edge_list(edges), reference)
+        assert np.array_equal(load_labels(truth), labels)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipes_load(self):
+        # a pipe such as `--edges <(cmd)` can be read only once
+        def from_pipe(load, text):
+            read_end, write_end = os.pipe()
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            try:
+                return load(f"/dev/fd/{read_end}")
+            finally:
+                os.close(read_end)
+        assert from_pipe(load_edge_list, "# i j w\n0 2 1.5\n").total_weight == 3.0
+        assert np.array_equal(from_pipe(load_labels, "node,label\n1,0\n0,1\n"), [1, 0])
 
     def test_label_pairs_subset(self, tmp_path):
         path = tmp_path / "sup.csv"

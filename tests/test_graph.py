@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from balancedtv import (
@@ -17,7 +18,14 @@ from balancedtv import (
     ssl_energy,
     volume,
 )
-from conftest import complete_graph, dense_modularity, path_graph, random_graph, random_labels
+from conftest import (
+    assert_same_graph,
+    complete_graph,
+    dense_modularity,
+    path_graph,
+    random_graph,
+    random_labels,
+)
 
 TWO_NODE = SparseGraph.from_dense([[0.0, 1.0], [1.0, 0.0]])
 K3 = complete_graph(3)
@@ -63,16 +71,12 @@ class TestSparseGraph:
             SparseGraph.from_dense([[0.0, -1.0], [-1.0, 0.0]])
 
     def test_rejects_asymmetric(self):
-        import scipy.sparse as sp
-
         m = sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
         with pytest.raises(ValueError, match="symmetric"):
             SparseGraph.from_scipy(m)
 
     @pytest.mark.parametrize("w", [np.inf, np.nan])
     def test_rejects_non_finite_weight(self, w):
-        import scipy.sparse as sp
-
         with pytest.raises(ValueError, match="finite"):
             SparseGraph.from_coo(3, [0, 1], [1, 2], [1.0, w])
         with pytest.raises(ValueError, match="finite"):
@@ -94,13 +98,32 @@ class TestSparseGraph:
             sub = g.subgraph(nodes)
             sorted_nodes = np.sort(nodes)
             ref = SparseGraph.from_scipy(g.adjacency[sorted_nodes][:, sorted_nodes])
-            pairs = [(getattr(sub.adjacency, f), getattr(ref.adjacency, f))
-                     for f in ("indptr", "indices", "data")]
-            for a, b in pairs + [(sub.degrees, ref.degrees)]:
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert sub.n_nodes == ref.n_nodes == size
-            assert sub.total_weight == ref.total_weight
+            assert_same_graph(sub, ref)
+            assert sub.n_nodes == size
             sub.validate()
+
+    def test_from_coo_matches_mirrored_upper_triangle(self, rng):
+        # repeats in both orientations, self-loops and zero weights; the
+        # reference sums each edge's repeats in the upper triangle, mirrors
+        # it and runs every check of from_scipy
+        for _ in range(40):
+            n, m = int(rng.integers(1, 25)), int(rng.integers(0, 150))
+            rows, cols = rng.integers(0, n, (2, m))
+            k = m // 3  # the first k triplets again, reversed
+            rows, cols = np.concatenate([rows, cols[:k]]), np.concatenate([cols, rows[:k]])
+            weights = rng.choice([0.0, 0.1, 0.7, 2.5, 3e10], rows.size) * rng.random(rows.size)
+            upper = sp.coo_matrix((weights, (np.minimum(rows, cols), np.maximum(rows, cols))),
+                                  shape=(n, n)).tocsr()
+            graph = SparseGraph.from_coo(n, rows, cols, weights)
+            assert_same_graph(graph, SparseGraph.from_scipy(upper + upper.T))
+            graph.validate()
+
+    @pytest.mark.parametrize("degree, total", [(np.nan, 4.0), (1.0, np.nan)])
+    def test_validate_rejects_nan(self, degree, total):
+        degrees = P3.degrees.copy()
+        degrees[0] = degree
+        with pytest.raises(ValueError, match="disagree"):
+            SparseGraph(P3.adjacency, degrees, total).validate()
 
     def test_immutability(self):
         for arr in (K3.adjacency.indptr, K3.adjacency.indices, K3.adjacency.data,

@@ -6,6 +6,10 @@ files, an empty matrix.  Node ids
 stay at or below MAX_ID or are at least 2^63 - 1, which the edge-list loader
 rejects: it sizes the graph by the largest id, so an id in between asks for
 a huge allocation rather than failing to parse.
+
+The edge-list and label loaders parse a file in one numpy pass and fall back
+on a per-line parser for any file that pass is not sure of; both must give
+the same arrays or the same message.
 """
 
 import re
@@ -14,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balancedtv import load_edge_list, load_features, load_label_pairs
+from balancedtv import io, load_edge_list, load_features, load_label_pairs
+from conftest import assert_same_graph
 
 MAX_ID = 10**4
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -113,3 +118,63 @@ def test_valid_edge_list_loads_exactly(scratch, edges):
             dense[j, i] += w
     assert graph.n_nodes == n
     assert np.allclose(graph.adjacency.toarray(), dense, rtol=1e-12, atol=0.0)
+
+
+def assert_same_outcome(load, per_line, path, same):
+    """load(path) and per_line(path) return results that ``same`` accepts,
+    or raise the same message."""
+    outcomes = []
+    for parse in (load, per_line):
+        try:
+            outcomes.append(parse(path))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    fast, slow = outcomes
+    if isinstance(fast, str) or isinstance(slow, str):
+        assert fast == slow
+    else:
+        same(fast, slow)
+
+
+def assert_same_pairs(fast, slow):
+    for a, b in zip(fast, slow, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+EDGE_CASES = [
+    "0 1 2.5 # note\n", "# h\r0 1 2 # x\r", "# see #1\n0 1 1\n", "0 1 1_0\n",
+    "1_0 0 1\n", f"0 {2**63 - 1} 1\n", f"{2**63} 0 1\n", "0 1 nan\n", "0 1 inf\n", "0 0 nan\n",
+    "0 1 -0.0\n1 2 1\n", "0 1 1e307\n1 2 1e307\n0 2 1e308\n",
+    "# i j w\r\n0 1 1\r\n1 2 0.5\r\n", "0 1 1\n   \n1 2 1\n", "", "# only\n",
+]
+LABEL_CASES = [
+    "node,label\n0,1 # x\n", "node,label\n1_0,1\n", f"node,label\n{2**63 - 1},0\n",
+    f"node,label\n{2**63},0\n", "node,label\r\n0,1\r\n1,0\r\n", "node,label\n0,1\n  \n1,0\n",
+    "", "node,label\n", "node,label\n0,1\n2,0\n0,2\n", "node,label\n 1 , 2 \n",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
+def test_edge_list_case_matches_per_line_parser(scratch, text):
+    scratch.write_text(text, newline="")
+    assert_same_outcome(load_edge_list, io._parse_edge_lines, scratch, assert_same_graph)
+
+
+@pytest.mark.parametrize("text", LABEL_CASES)
+def test_label_case_matches_per_line_parser(scratch, text):
+    scratch.write_text(text, newline="")
+    assert_same_outcome(load_label_pairs, io._parse_label_lines, scratch, assert_same_pairs)
+
+
+@FUZZ
+@given(text=edge_files)
+def test_edge_list_matches_per_line_parser(scratch, text):
+    scratch.write_text(text)
+    assert_same_outcome(load_edge_list, io._parse_edge_lines, scratch, assert_same_graph)
+
+
+@FUZZ
+@given(text=label_files)
+def test_label_pairs_match_per_line_parser(scratch, text):
+    scratch.write_text(text)
+    assert_same_outcome(load_label_pairs, io._parse_label_lines, scratch, assert_same_pairs)
