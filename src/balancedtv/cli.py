@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
+import signal
 import statistics
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .eigen import DiffusionOperator, smallest_eigenpairs
 from .graph import Supervision
 from .mbo import mbo_run, random_start
 from .metrics import CONSISTENCY_TOL, classification_rate, consistency, purity
-from .partition import recursive_partition, sweep_nhat
+from .partition import recursive_partition, split_basis, sweep_nhat
 
 __all__ = ["parse_args", "run", "main"]
 
@@ -183,6 +186,102 @@ def _partition_once(op, basis, options, supervision, seed):
     return result, 1000.0 * (time.perf_counter() - start)
 
 
+def _worker_count(repeat: int) -> int:
+    """Processes that share ``repeat`` seeded runs: one per CPU this process
+    may use, at most one per run, if this process runs a single thread.
+
+    Otherwise one.  A second thread is a multi-threaded BLAS, whose threads
+    already fill the CPUs (forked workers would each bring their own), and
+    forking a multi-threaded process is unsafe.  Where the affinity mask or
+    the thread list cannot be read, which includes every platform without
+    ``fork``, one as well.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    return min(cpus, repeat) if threads == 1 else 1
+
+
+def _run_chunk(job, seeds):
+    """Run ``seeds`` one after another: (their outcomes, the warnings they
+    raised as (message, category, filename, lineno), and the exception that
+    stopped the chunk or None)."""
+    outcomes, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            for seed in seeds:
+                outcomes.append(_partition_once(*job, seed))
+        except Exception as exc:
+            error = exc
+    return outcomes, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+
+
+def _run_chunks(job, chunks):
+    """``_run_chunk`` of each chunk, in order.  The first chunk runs in this
+    process; each other one runs in a child forked for it, which sends its
+    result back pickled through a pipe and prints nothing."""
+    children = []
+    try:
+        for chunk in chunks[1:]:
+            sys.stdout.flush()  # else a child would inherit and repeat the buffer
+            sys.stderr.flush()
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(_run_chunk(job, chunk), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end, chunk))
+        results = [_run_chunk(job, chunks[0])]
+        while children:
+            pid, read_end, chunk = children.pop(0)
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                raise RuntimeError(f"the worker running seeds {chunk[0]}..{chunk[-1]} "
+                                   f"exited with code {code}")
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        for pid, read_end, _ in children:  # left only when this process failed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+
+
+def _run_repeats(job, seeds):
+    """The (result, wall ms) of each seed, in seed order, computed in
+    ``_worker_count`` processes that each take one contiguous chunk of seeds.
+
+    The warnings the runs raised are raised again here in seed order, once
+    per distinct message and place, and an exception that stopped a chunk is
+    raised again after the warnings of the seeds before it.
+    """
+    workers = _worker_count(len(seeds))
+    bounds = [len(seeds) * i // workers for i in range(workers + 1)]
+    outcomes, seen = [], set()
+    for done, caught, error in _run_chunks(job, [seeds[a:b] for a, b in
+                                                 zip(bounds, bounds[1:])]):
+        for message, category, filename, lineno in caught:
+            key = (str(message), category, filename, lineno)
+            if key not in seen:
+                seen.add(key)
+                warnings.warn_explicit(message, category, filename, lineno)
+        if error is not None:
+            raise error
+        outcomes += done
+    return outcomes
+
+
 def _run_partition(options) -> int:
     graph = _load_graph(options)
     truth = io.load_labels(options.truth) if options.truth else None
@@ -211,10 +310,13 @@ def _run_partition(options) -> int:
         # matched 5*MAX's; fixed runs were not measured below 5*nhat
         n_eig = 2 * options.sweep[-1] if options.sweep else 5 * options.nhat
         basis = smallest_eigenpairs(op, min(n_eig, graph.n_nodes))
+    else:
+        # solved before any fork, so that every worker shares the root's basis
+        split_basis(op, np.arange(graph.n_nodes), options.split_factor)
 
     # repeats run untraced; only the kept seed is rerun with traces on
     seeds = list(range(options.seed, options.seed + options.repeat))
-    outcomes = [_partition_once(op, basis, options, supervision, s) for s in seeds]
+    outcomes = _run_repeats((op, basis, options, supervision), seeds)
 
     rows = []
     for seed, (result, ms) in zip(seeds, outcomes):

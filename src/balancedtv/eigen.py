@@ -51,7 +51,7 @@ class DiffusionOperator:
             raise ValueError("gamma must be positive and finite")
         if self.graph.total_weight <= 0:
             raise ValueError("operator undefined on a graph with no edges")
-        object.__setattr__(self, "_subgraph_pairs", {})
+        object.__setattr__(self, "_subgraph_bases", {})
 
     @property
     def m(self) -> float:
@@ -74,23 +74,21 @@ class DiffusionOperator:
         """The n_eig smallest eigenpairs of the operator, at this gamma, on
         the subgraph that ``members`` induce; None if it has no edge.
 
-        The pairs are solved once per member set and basis size and cached
-        read-only on this operator.  Only the pairs are kept: each call
-        rebuilds the subgraph and wraps them in a fresh basis.
+        The basis, with its subgraph and sub-operator, is built once per
+        member set and basis size and cached on this operator with its arrays
+        read-only: a later call returns the same object without indexing.
         """
         members = np.asarray(members, dtype=np.int64)
-        sub = self.graph.subgraph(members)
-        if sub.total_weight == 0:
-            return None
-        sub_op = DiffusionOperator(sub, self.gamma)
         key = (members.tobytes(), n_eig)
-        if key not in self._subgraph_pairs:
-            basis = smallest_eigenpairs(sub_op, n_eig)
-            for arr in (basis.eigenvalues, basis.eigenvectors):
-                arr.flags.writeable = False
-            self._subgraph_pairs[key] = (basis.eigenvalues, basis.eigenvectors)
-            return basis
-        return EigenBasis(sub_op, *self._subgraph_pairs[key])
+        if key not in self._subgraph_bases:
+            sub = self.graph.subgraph(members)
+            basis = None
+            if sub.total_weight > 0:
+                basis = smallest_eigenpairs(DiffusionOperator(sub, self.gamma), n_eig)
+                for arr in (basis.eigenvalues, basis.eigenvectors):
+                    arr.flags.writeable = False
+            self._subgraph_bases[key] = basis
+        return self._subgraph_bases[key]
 
     def infinity_norm_bound(self) -> float:
         """2 (1 + gamma) k_max, an upper bound on the infinity norm of M."""

@@ -173,7 +173,10 @@ class SparseGraph:
 
 
 def _check_subset(graph: SparseGraph, subset) -> np.ndarray:
-    nodes = np.unique(np.asarray(subset, dtype=np.int64).ravel())
+    """``subset`` as sorted distinct node ids, checked against the graph."""
+    nodes = np.asarray(subset, dtype=np.int64).ravel()
+    if not np.all(nodes[1:] > nodes[:-1]):  # recursion passes sorted distinct ids
+        nodes = np.unique(nodes)
     if nodes.size and (nodes[0] < 0 or nodes[-1] >= graph.n_nodes):
         raise ValueError(
             f"node index out of range [0, {graph.n_nodes}): {nodes[0 if nodes[0] < 0 else -1]}"

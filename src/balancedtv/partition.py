@@ -14,7 +14,7 @@ from .eigen import DiffusionOperator, EigenBasis
 from .graph import Supervision, modularity
 from .mbo import DT_CAP_FACTOR, MboResult, mbo_run, random_start, select_timestep, timestep_bounds
 
-__all__ = ["kmeans_init", "sweep_nhat", "recursive_partition"]
+__all__ = ["kmeans_init", "sweep_nhat", "recursive_partition", "split_basis"]
 
 DT_LADDER = 8  # rungs of the geometric timestep ladder a sweep tries per count
 KMEANS_RESTARTS = 4  # k-means++ seedings per kmeans_init, best inertia kept
@@ -135,6 +135,17 @@ def sweep_nhat(basis: EigenBasis, nhats, *, seed: int = 0,
     return best
 
 
+def split_basis(op: DiffusionOperator, members: np.ndarray,
+                split_factor: int) -> EigenBasis | None:
+    """The eigenbasis a recursive split of ``members`` into ``split_factor``
+    parts starts from, from the cache of :meth:`DiffusionOperator.subgraph_basis`;
+    None for a set too small to split or without an edge."""
+    # k-means on a smaller community's basis would have fewer columns than parts
+    if members.size < max(MIN_SPLIT_SIZE, split_factor):
+        return None
+    return op.subgraph_basis(members, min(5 * split_factor, members.size))
+
+
 def recursive_partition(op: DiffusionOperator, split_factor: int, *,
                         seed: int = 0) -> MboResult:
     """Recursively split communities of ``op.graph`` while full-graph
@@ -150,15 +161,13 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
     ``converged`` taken over every split's MBO run; ``dt_used`` is None and
     the traces are empty.
 
-    Each subgraph's eigenbasis comes from :meth:`DiffusionOperator.subgraph_basis`:
-    it is solved from a fixed Lanczos start and cached on ``op``, so repeats
-    on one operator solve each member set once.  ``seed`` drives only the
+    Each subgraph's eigenbasis comes from :func:`split_basis`: it is solved
+    from a fixed Lanczos start and cached on ``op``, so repeats on one
+    operator solve each member set once.  ``seed`` drives only the
     k-means initialization of each split.
     """
     if split_factor < 2:
         raise ValueError("split_factor must be at least 2")
-    # k-means on a smaller community's basis would have fewer columns than parts
-    min_size = max(MIN_SPLIT_SIZE, split_factor)
     graph, gamma = op.graph, op.gamma
     labels = np.zeros(graph.n_nodes, dtype=np.int64)
     current_q = modularity(graph, labels, gamma)
@@ -169,9 +178,7 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
 
     while pending:
         members = pending.pop()
-        if members.size < min_size:
-            continue
-        basis = op.subgraph_basis(members, min(5 * split_factor, members.size))
+        basis = split_basis(op, members, split_factor)
         if basis is None:
             continue
         start = kmeans_init(basis, split_factor, seed=seed + subproblem)

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +478,8 @@ class TestEndToEnd:
         import balancedtv.partition as partition_mod
 
         edges, _ = write_planted(tmp_path, 90, 3)
+        # one process, so that the counting wrappers see every repeat
+        monkeypatch.setattr(cli_mod, "_worker_count", lambda repeat: 1)
         traced = []
         for mod in (cli_mod, partition_mod):
             real = mod.mbo_run
@@ -672,3 +675,127 @@ class TestEndToEnd:
         code = main(["partition", "--edges", str(bad), "--nhat", "2", "--out", "x"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def run_outputs(tmp_path, name, argv):
+    """(labels bytes, batch rows without wall time, trace bytes or None)
+    of one ``partition`` run."""
+    out = tmp_path / name
+    code = main(["partition", *argv, "--out", str(out)])
+    assert code == 0
+    batch = [line.rsplit(",", 1)[0]
+             for line in Path(f"{out}_batch.csv").read_text().splitlines()]
+    trace = Path(f"{out}_trace.csv")
+    return (Path(f"{out}_labels.csv").read_bytes(), batch,
+            trace.read_bytes() if trace.exists() else None)
+
+
+# the worker count is patched, so these tests fork even on one CPU and in a
+# test process that runs BLAS threads, which the driver itself never forks;
+# Python 3.12 and later warn on such a fork
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestForkedRepeats:
+    """Repeats split over forked workers give the outputs of one process."""
+
+    @pytest.fixture
+    def edges(self, tmp_path):
+        return write_planted(tmp_path, 90, 3)
+
+    @pytest.mark.parametrize("strategy,repeat", [
+        (["--nhat", "3", "--trace"], 5),
+        (["--sweep", "2..4", "--trace"], 3),
+        (["--recursive"], 4),
+    ])
+    def test_two_workers_match_one(self, tmp_path, capsys, monkeypatch, edges,
+                                   strategy, repeat):
+        import balancedtv.cli as cli_mod
+
+        path, truth = edges
+        argv = ["--edges", str(path), *strategy, "--seed", "3", "--repeat", str(repeat),
+                "--truth", str(truth)]
+        capsys.readouterr()  # the fixture's "wrote" line
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli_mod, "_worker_count",
+                                lambda n, workers=workers: min(workers, n))
+            outputs = run_outputs(tmp_path, f"w{workers}", argv)
+            printed = [line for line in capsys.readouterr().out.splitlines()
+                       if not line.startswith("median wall time")]
+            runs.append((outputs, printed))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0][1]) == repeat + 1
+        assert (runs[0][0][2] is None) == (strategy == ["--recursive"])
+
+    @pytest.mark.parametrize("failing_seed", [0, 3])  # in this process, in the child
+    def test_worker_exception_is_an_error_line(self, tmp_path, capsys, monkeypatch,
+                                               edges, failing_seed):
+        import balancedtv.cli as cli_mod
+
+        real = cli_mod.random_start
+
+        def failing(n, nhat, seed, supervision):
+            if seed == failing_seed:
+                raise RuntimeError("Lanczos did not converge (simulated)")
+            return real(n, nhat, seed, supervision)
+
+        monkeypatch.setattr(cli_mod, "random_start", failing)
+        monkeypatch.setattr(cli_mod, "_worker_count", lambda n: 2)
+        out = tmp_path / "x"
+        code = main(["partition", "--edges", str(edges[0]), "--nhat", "3",
+                     "--repeat", "4", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: Lanczos did not converge (simulated)\n")
+        assert not Path(f"{out}_labels.csv").exists()
+
+    def test_worker_that_dies_is_an_error_line(self, tmp_path, capsys, monkeypatch,
+                                               edges):
+        import balancedtv.cli as cli_mod
+
+        real, parent = cli_mod.random_start, os.getpid()
+
+        def dying(n, nhat, seed, supervision):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(n, nhat, seed, supervision)
+
+        monkeypatch.setattr(cli_mod, "random_start", dying)
+        monkeypatch.setattr(cli_mod, "_worker_count", lambda n: 2)
+        code = main(["partition", "--edges", str(edges[0]), "--nhat", "3",
+                     "--repeat", "4", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the worker running seeds 2..3 exited with code 3\n")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeat_warning_reaches_parent_once(self, tmp_path, monkeypatch, edges,
+                                                workers):
+        import balancedtv.cli as cli_mod
+
+        real = cli_mod.random_start
+
+        def warning(n, nhat, seed, supervision):
+            warnings.warn("probe warning from a repeat")
+            return real(n, nhat, seed, supervision)
+
+        monkeypatch.setattr(cli_mod, "random_start", warning)
+        monkeypatch.setattr(cli_mod, "_worker_count", lambda n: workers)
+        with pytest.warns(UserWarning, match="probe warning") as record:
+            assert main(["partition", "--edges", str(edges[0]), "--nhat", "3",
+                         "--repeat", "4", "--out", str(tmp_path / "x")]) == 0
+        probes = [w for w in record if "probe warning" in str(w.message)]
+        assert len(probes) == 1
+        assert probes[0].filename == __file__
+
+    def test_worker_count_follows_cpu_affinity_and_threads(self, monkeypatch):
+        import balancedtv.cli as cli_mod
+
+        threads = ["1"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "listdir", lambda path: threads)
+        assert [cli_mod._worker_count(n) for n in (1, 2, 8)] == [1, 2, 3]
+        threads.append("2")  # a BLAS thread pool
+        assert cli_mod._worker_count(8) == 1
+        threads.pop()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli_mod._worker_count(8) == 1

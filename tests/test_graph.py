@@ -18,6 +18,7 @@ from balancedtv import (
     ssl_energy,
     volume,
 )
+from balancedtv.graph import _check_subset
 from conftest import (
     assert_same_graph,
     complete_graph,
@@ -163,6 +164,20 @@ class TestCutVolume:
     def test_volume_all_nodes_is_total_weight(self, rng):
         g = random_graph(rng, 8)
         assert volume(g, range(8)) == pytest.approx(g.total_weight, rel=1e-12)
+
+    @pytest.mark.parametrize("subset", [[5, 1, 3], [1, 3, 3, 5], [5, 5, 3, 1, 1]])
+    def test_unsorted_or_repeated_subset_is_sorted_and_deduplicated(self, rng, subset):
+        g = random_graph(rng, 8, density=0.6)
+        assert np.array_equal(_check_subset(g, subset), [1, 3, 5])
+        assert cut(g, subset) == cut(g, [1, 3, 5])
+        assert volume(g, subset) == volume(g, [1, 3, 5])
+        assert_same_graph(g.subgraph(subset), g.subgraph([1, 3, 5]))
+
+    @pytest.mark.parametrize("subset", [[0, 2, 8], [-1, 2, 4], [8, 2], [3, 3, -1]])
+    def test_subset_range_checked_sorted_or_not(self, subset):
+        g = path_graph(8)
+        with pytest.raises(ValueError, match="out of range"):
+            _check_subset(g, subset)
 
 
 class TestGraphTV:

@@ -289,6 +289,24 @@ class TestSubgraphBasisCache:
         assert np.array_equal(recursive_partition(op, 2, seed=0).labels, first)
         assert calls == []
 
+    def test_cache_hit_returns_the_same_basis_without_indexing(self, graph, monkeypatch):
+        subgraphs = []
+        real = type(graph).subgraph
+        monkeypatch.setattr(type(graph), "subgraph",
+                            lambda g, nodes: subgraphs.append(1) or real(g, nodes))
+        op = DiffusionOperator(graph, 1.0)
+        members = np.arange(0, 300, 2)
+        isolated = np.array([0, 2], dtype=np.int64)  # no edge between them
+        assert graph.adjacency[0, 2] == 0
+        basis = op.subgraph_basis(members, 6)
+        assert op.subgraph_basis(isolated, 2) is None
+        assert len(subgraphs) == 2
+        assert op.subgraph_basis(members, 6) is basis
+        assert op.subgraph_basis(isolated, 2) is None
+        assert len(subgraphs) == 2
+        assert not basis.eigenvectors.flags.writeable
+        assert op.subgraph_basis(members, 4).n_eig == 4
+
     def test_each_split_factor_gets_its_own_basis_size(self, graph, monkeypatch):
         seen = []
         init = partition_mod.kmeans_init
