@@ -59,7 +59,6 @@ class SparseGraph:
         w = self.adjacency
         for arr in (w.indptr, w.indices, w.data, self.degrees):
             arr.flags.writeable = False
-        object.__setattr__(self, "_row_index", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -136,14 +135,8 @@ class SparseGraph:
         return self.adjacency.nnz // 2
 
     def row_index(self) -> np.ndarray:
-        """Source node of each stored entry; cached after first use."""
-        if self._row_index is None:
-            idx = np.repeat(
-                np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adjacency.indptr)
-            )
-            idx.flags.writeable = False
-            object.__setattr__(self, "_row_index", idx)
-        return self._row_index
+        """Source node of each stored entry, computed on each call."""
+        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adjacency.indptr))
 
     def subgraph(self, nodes) -> "SparseGraph":
         """Induced subgraph on ``nodes`` (relabeled 0..len(nodes)-1)."""
@@ -299,7 +292,7 @@ def _community_sums(graph: SparseGraph, labels: np.ndarray):
     if labels.size and labels.min() < 0:
         raise ValueError("labels must be nonnegative")
     w = graph.adjacency
-    same = labels[graph.row_index()] == labels[w.indices]
+    same = np.repeat(labels, np.diff(w.indptr)) == labels[w.indices]
     w_in = float(w.data[same].sum())
     vols = np.bincount(labels, weights=graph.degrees)
     return w_in, vols

@@ -1,8 +1,9 @@
 """Strategies for choosing the number of communities.
 
-Three policies: a fixed count (a plain ``mbo_run``), a modularity-maximizing
-sweep over a range of counts that reuses a single eigenbasis, and recursive
-splitting gated on full-graph modularity gain.  Also provides the
+Three policies: a fixed count (a plain ``mbo_run`` at the automatic
+timestep), a modularity-maximizing sweep over a range of counts and a fixed
+set of timesteps that reuses a single eigenbasis, and recursive splitting
+gated on full-graph modularity gain.  Also provides the
 k-means-on-eigenvectors initialization that seeds each recursive split.
 """
 
@@ -12,11 +13,12 @@ import numpy as np
 
 from .eigen import DiffusionOperator, EigenBasis
 from .graph import Supervision, modularity
-from .mbo import DT_CAP_FACTOR, MboResult, mbo_run, random_start, select_timestep, timestep_bounds
+from .mbo import DT_CAP_FACTOR, MboResult, mbo_run, random_start, timestep_bounds
 
 __all__ = ["kmeans_init", "sweep_nhat", "recursive_partition", "split_basis"]
 
-DT_LADDER = 8  # rungs of the geometric timestep ladder a sweep tries per count
+DT_LADDER = 8  # rungs of the geometric timestep ladder over [tau_lo, cap]
+DT_SWEPT = 5  # its top rungs, the timesteps a sweep tries per count
 KMEANS_RESTARTS = 4  # k-means++ seedings per kmeans_init, best inertia kept
 KMEANS_MAX_ITER = 100  # Lloyd iterations per restart
 MIN_SPLIT_SIZE = 4  # smallest community a recursive run splits, unless nhat is larger
@@ -96,12 +98,13 @@ def kmeans_init(basis: EigenBasis, nhat: int, seed: int = 0) -> np.ndarray:
 
 
 def _sweep_timesteps(basis: EigenBasis) -> list[float]:
-    """Candidate timesteps for one sweep: the automatic choice plus a
-    DT_LADDER-rung geometric ladder across the admissible range [tau_lo, cap].
-    Diffusion reuses the one basis, so extra timesteps cost no eigenwork."""
+    """The timesteps one sweep tries per count, increasing: the top DT_SWEPT
+    rungs (22 to 1000 x tau_lo) of a DT_LADDER-rung geometric ladder across
+    the admissible range [tau_lo, cap].  The lower rungs and the automatic
+    ``select_timestep`` sit nearer the freezing bound and did not win."""
     tau_lo, _ = timestep_bounds(basis.operator)
     rungs = tau_lo * np.logspace(0.1, np.log10(DT_CAP_FACTOR), DT_LADDER)
-    return sorted(set(float(dt) for dt in rungs) | {select_timestep(basis)})
+    return [float(dt) for dt in rungs[-DT_SWEPT:]]
 
 
 def sweep_nhat(basis: EigenBasis, nhats, *, seed: int = 0,
@@ -110,11 +113,11 @@ def sweep_nhat(basis: EigenBasis, nhats, *, seed: int = 0,
     partition with the best modularity (ties to the smaller count).
 
     Every run shares the one eigenbasis ``basis``.  Each count draws one
-    start, ``random_start`` of ``seed``, and tries it across a DT_LADDER-rung
-    geometric ladder of timesteps (the automatic choice always included):
+    start, ``random_start`` of ``seed``, and runs it at each of the DT_SWEPT
+    timesteps of :func:`_sweep_timesteps`, the top of the admissible range:
     fixed points of the threshold dynamics depend on the timestep, and with
-    the basis amortized the extra runs are nearly free.  Counts too small to
-    hold every supervised class are skipped.
+    the basis amortized the extra runs cost no eigenwork.  Counts too small
+    to hold every supervised class are skipped.
     """
     nhats = sorted(set(int(h) for h in nhats))
     if not nhats:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -231,6 +233,13 @@ class TestModularity:
         g = SparseGraph.from_dense(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="2m = 0"):
             modularity(g, [0, 0, 0], 1.0)
+
+    def test_caches_nothing_on_the_graph(self, rng):
+        # a cached per-entry index lives as long as the graph, and the
+        # sub-basis cache keeps every split's subgraph alive
+        g = random_graph(rng, 9)
+        modularity(g, random_labels(rng, 9, 3), 1.0)
+        assert set(vars(g)) == {field.name for field in dataclasses.fields(g)}
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_gamma_outside_positive_reals(self, gamma):

@@ -17,12 +17,13 @@ from balancedtv import (
     random_start,
     recursive_partition,
     save_edge_list,
-    select_timestep,
     smallest_eigenpairs,
     sweep_nhat,
+    timestep_bounds,
 )
 from balancedtv.cli import main
 from balancedtv.partition import (
+    DT_SWEPT,
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
     _kmeans_labels,
@@ -149,7 +150,11 @@ class TestSweep:
         g = random_graph(rng, 20)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), min(15, g.n_nodes))
         timesteps = _sweep_timesteps(basis)
-        assert select_timestep(basis) in timesteps
+        # the top five rungs of the geometric ladder, ending at the cap
+        assert len(timesteps) == DT_SWEPT == 5
+        ratios = np.divide(timesteps[1:], timesteps[:-1])
+        assert ratios[0] > 1 and np.allclose(ratios, ratios[0])
+        assert timesteps[-1] == timestep_bounds(basis.operator)[1]
         swept = sweep_nhat(basis, [3], seed=7)
         # the first of the best fixed runs over the sweep's own timesteps
         fixed = max((mbo_run(basis, 3, random_start(basis.n_nodes, 3, 7), dt=dt) for dt in timesteps),
@@ -158,13 +163,32 @@ class TestSweep:
         assert swept.modularity == fixed.modularity
         assert swept.dt_used == fixed.dt_used
 
-    def test_timestep_ladder_never_hurts(self, rng):
-        g = random_graph(rng, 24, density=0.3)
-        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 15)
-        # the best automatic-timestep run over the same counts and seed
-        plain = max(mbo_run(basis, nhat, random_start(basis.n_nodes, nhat, 2)).modularity for nhat in range(1, 4))
-        laddered = sweep_nhat(basis, range(1, 4), seed=2)
-        assert laddered.modularity >= plain - 1e-12
+    def test_runs_each_count_at_each_timestep(self, monkeypatch):
+        basis = sweep_basis(two_cliques(5), 4)
+        calls = []
+
+        def counting(basis, nhat, start, **kwargs):
+            calls.append((nhat, kwargs["dt"]))
+            return mbo_run(basis, nhat, start, **kwargs)
+
+        monkeypatch.setattr(partition_mod, "mbo_run", counting)
+        sweep_nhat(basis, range(2, 5))
+        assert len(calls) == 3 * 5
+        assert calls == [(nhat, dt) for nhat in range(2, 5) for dt in _sweep_timesteps(basis)]
+
+    def test_timestep_ladder_never_hurts(self):
+        # the sweep no longer tries the automatic timestep, so this is a
+        # measured property: on these graphs its five rungs reach the best
+        # automatic-timestep run over the same counts and seed
+        for graph_seed in range(20):
+            rng = np.random.default_rng(graph_seed)
+            g = random_graph(rng, int(rng.integers(12, 61)), density=0.3)
+            basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), min(15, g.n_nodes))
+            for seed in (0, 1):
+                plain = max(mbo_run(basis, nhat, random_start(basis.n_nodes, nhat, seed)).modularity
+                            for nhat in range(1, 4))
+                laddered = sweep_nhat(basis, range(1, 4), seed=seed)
+                assert laddered.modularity >= plain - 1e-12, (graph_seed, seed)
 
     def test_best_dominates_every_candidate(self, rng):
         g = random_graph(rng, 18)
