@@ -12,7 +12,6 @@ All generators are deterministic for a fixed seed.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import SparseGraph
 
@@ -151,6 +150,22 @@ def _knn_distances(features: np.ndarray, k: int):
     return dist, idx
 
 
+def _union_triplets(dist: np.ndarray, idx: np.ndarray, sigma: np.ndarray):
+    """The k-NN union as (rows, cols, weights), row < col, one per pair with
+    the larger of its directed weights, which can differ in the last bits.
+    A function so that its temporaries are freed before the graph is built."""
+    n, k = idx.shape
+    rows = np.repeat(np.arange(n, dtype=np.int64), k)
+    cols = idx.ravel()
+    w = np.exp(-(dist.ravel() ** 2) / (sigma[rows] * sigma[cols]))
+    key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    key = key[first]
+    return key // n, key % n, np.maximum.reduceat(w[order], first)
+
+
 def knn_graph(features, k: int) -> SparseGraph:
     """Self-tuning Gaussian k-nearest-neighbors graph.
 
@@ -183,12 +198,7 @@ def knn_graph(features, k: int) -> SparseGraph:
             "remove duplicate points"
         )
 
-    rows = np.repeat(np.arange(n, dtype=np.int64), k)
-    cols = idx.ravel()
-    w = np.exp(-(dist.ravel() ** 2) / (sigma[rows] * sigma[cols]))
-    directed = sp.csr_matrix((w, (rows, cols)), shape=(n, n))
-    symmetric = directed.maximum(directed.T)
-    return SparseGraph.from_scipy(symmetric)
+    return SparseGraph.from_coo(n, *_union_triplets(dist, idx, sigma))
 
 
 def planted_partition(n_nodes: int, n_communities: int, avg_degree_in: float,

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .graph import SparseGraph
+from .graph import SparseGraph, _check_subset
 
 __all__ = [
     "DiffusionOperator",
@@ -76,9 +76,10 @@ class DiffusionOperator:
 
         The basis, with its subgraph and sub-operator, is built once per
         member set and basis size and cached on this operator with its arrays
-        read-only: a later call returns the same object without indexing.
+        read-only: a later call with the same member set, in any order or
+        with repeats, returns the same object without indexing.
         """
-        members = np.asarray(members, dtype=np.int64)
+        members = _check_subset(self.graph, members)
         key = (members.tobytes(), n_eig)
         if key not in self._subgraph_bases:
             sub = self.graph.subgraph(members)

@@ -63,30 +63,6 @@ class SparseGraph:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_scipy(cls, matrix) -> "SparseGraph":
-        """Build from any scipy sparse matrix; must already be symmetric.
-
-        Self-loops are stripped, explicit zeros dropped, duplicates summed.
-        Weights must be finite and nonnegative.
-        """
-        w = sp.coo_matrix(matrix, dtype=np.float64)
-        if w.shape[0] != w.shape[1]:
-            raise ValueError(f"adjacency matrix must be square, got {w.shape}")
-        keep = w.row != w.col
-        w = sp.coo_matrix(
-            (w.data[keep], (w.row[keep], w.col[keep])), shape=w.shape
-        ).tocsr()
-        w.sum_duplicates()
-        w.eliminate_zeros()
-        if not np.isfinite(w.data).all():
-            raise ValueError("edge weights must be finite")
-        if w.nnz and w.data.min() < 0:
-            raise ValueError("edge weights must be nonnegative")
-        if (w != w.T).nnz != 0:
-            raise ValueError("adjacency matrix must be symmetric")
-        return cls._from_canonical_csr(w)
-
-    @classmethod
     def _from_canonical_csr(cls, w: sp.csr_matrix) -> "SparseGraph":
         """Wrap a CSR matrix that already satisfies every class invariant
         (sorted indices, no duplicates, zeros or self-loops, symmetric,
@@ -108,8 +84,8 @@ class SparseGraph:
             raise ValueError("edge weights must be nonnegative")
         # mirror the upper triangle after its repeats are summed, so that
         # W[i, j] and W[j, i] are the same float.  Self-loops are zeroed, not
-        # dropped: scipy sums repeats after an unstable per-row sort, and with
-        # the rows intact the sums round as in from_scipy(upper + upper.T)
+        # dropped: scipy sums repeats after an unstable per-row sort, so
+        # dropping entries could change how a row's sums round
         weights = np.where(rows == cols, 0.0, weights)
         upper = sp.coo_matrix((weights, (np.minimum(rows, cols), np.maximum(rows, cols))),
                               shape=(n_nodes, n_nodes)).tocsr()
@@ -120,7 +96,18 @@ class SparseGraph:
 
     @classmethod
     def from_dense(cls, dense) -> "SparseGraph":
-        return cls.from_scipy(sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
+        """Build from a square, finite, nonnegative and symmetric weight
+        matrix, whose diagonal is ignored, through its strict upper triangle."""
+        dense = np.array(dense, dtype=np.float64)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError(f"adjacency matrix must be square, got {dense.shape}")
+        np.fill_diagonal(dense, 0.0)
+        if not np.isfinite(dense).all():
+            raise ValueError("edge weights must be finite")
+        if not np.array_equal(dense, dense.T):
+            raise ValueError("adjacency matrix must be symmetric")
+        rows, cols = np.nonzero(np.triu(dense))
+        return cls.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
 
     # -- views -------------------------------------------------------------
 
@@ -141,7 +128,7 @@ class SparseGraph:
     def subgraph(self, nodes) -> "SparseGraph":
         """Induced subgraph on ``nodes`` (relabeled 0..len(nodes)-1)."""
         nodes = _check_subset(self, nodes)
-        # an induced subgraph of a valid graph is valid, so skip from_scipy's checks
+        # an induced subgraph of a valid graph is valid, so skip from_coo's checks
         w = self.adjacency[nodes][:, nodes]
         w.sort_indices()
         return SparseGraph._from_canonical_csr(w)

@@ -88,6 +88,23 @@ class TestKnnGraph:
         g.validate()
         assert g.adjacency.diagonal().sum() == 0.0
 
+    def test_union_keeps_larger_directed_weight(self, rng):
+        # the two directions of a mutual pair are computed from distances
+        # of different tiles and can differ in the last bits; the union is
+        # the elementwise max of the directed weight matrix and its transpose
+        pts = rng.standard_normal((300, 10))
+        k = 8
+        dist, idx = build_mod._knn_distances(pts, k)
+        sigma = dist[:, k - 1]
+        rows = np.repeat(np.arange(300), k)
+        directed = np.zeros((300, 300))
+        directed[rows, idx.ravel()] = np.exp(-(dist.ravel() ** 2)
+                                             / (sigma[rows] * sigma[idx.ravel()]))
+        mutual = (directed > 0) & (directed.T > 0)
+        assert (directed[mutual] != directed.T[mutual]).any()
+        assert_same_graph(knn_graph(pts, k),
+                          SparseGraph.from_dense(np.maximum(directed, directed.T)))
+
     def test_row_permutation_equivariance(self, rng):
         pts = rng.standard_normal((40, 2))
         perm = rng.permutation(40)
@@ -161,6 +178,22 @@ class TestKnnGraph:
         finally:
             tracemalloc.stop()
         assert peak < build_mod.KNN_BLOCK_BYTES + 160 * n * k
+
+    def test_assembly_memory_bounded(self, monkeypatch, rng):
+        # after the search, the union and the graph peak at 67 bytes per
+        # directed edge (the graph itself holds 19); building a scipy matrix,
+        # its max with the transpose and a checked copy of it took 111
+        n, k = 3000, 10
+        pts = rng.standard_normal((n, 20))
+        found = build_mod._knn_distances(pts, k)
+        monkeypatch.setattr(build_mod, "_knn_distances", lambda features, k: found)
+        tracemalloc.start()
+        try:
+            knn_graph(pts, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * n * k
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_feature_named_before_search(self, rng, value):

@@ -74,16 +74,19 @@ class TestSparseGraph:
             SparseGraph.from_dense([[0.0, -1.0], [-1.0, 0.0]])
 
     def test_rejects_asymmetric(self):
-        m = sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
         with pytest.raises(ValueError, match="symmetric"):
-            SparseGraph.from_scipy(m)
+            SparseGraph.from_dense([[0.0, 1.0], [0.5, 0.0]])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            SparseGraph.from_dense(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("w", [np.inf, np.nan])
     def test_rejects_non_finite_weight(self, w):
         with pytest.raises(ValueError, match="finite"):
             SparseGraph.from_coo(3, [0, 1], [1, 2], [1.0, w])
         with pytest.raises(ValueError, match="finite"):
-            SparseGraph.from_scipy(sp.csr_matrix([[0.0, w], [w, 0.0]]))
+            SparseGraph.from_dense([[0.0, w], [w, 0.0]])
 
     def test_from_coo_index_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -100,15 +103,15 @@ class TestSparseGraph:
             nodes = rng.permutation(60)[:size]
             sub = g.subgraph(nodes)
             sorted_nodes = np.sort(nodes)
-            ref = SparseGraph.from_scipy(g.adjacency[sorted_nodes][:, sorted_nodes])
+            ref = SparseGraph.from_dense(g.adjacency.toarray()[np.ix_(sorted_nodes, sorted_nodes)])
             assert_same_graph(sub, ref)
             assert sub.n_nodes == size
             sub.validate()
 
     def test_from_coo_matches_mirrored_upper_triangle(self, rng):
         # repeats in both orientations, self-loops and zero weights; the
-        # reference sums each edge's repeats in the upper triangle, mirrors
-        # it and runs every check of from_scipy
+        # reference sums each edge's repeats in the upper triangle with
+        # scipy, mirrors it densely and stores it as CSR without from_coo
         for _ in range(40):
             n, m = int(rng.integers(1, 25)), int(rng.integers(0, 150))
             rows, cols = rng.integers(0, n, (2, m))
@@ -116,9 +119,12 @@ class TestSparseGraph:
             rows, cols = np.concatenate([rows, cols[:k]]), np.concatenate([cols, rows[:k]])
             weights = rng.choice([0.0, 0.1, 0.7, 2.5, 3e10], rows.size) * rng.random(rows.size)
             upper = sp.coo_matrix((weights, (np.minimum(rows, cols), np.maximum(rows, cols))),
-                                  shape=(n, n)).tocsr()
+                                  shape=(n, n)).tocsr().toarray()
+            np.fill_diagonal(upper, 0.0)
+            w = sp.csr_matrix(upper + upper.T)
+            degrees = np.asarray(w.sum(axis=1)).ravel()
             graph = SparseGraph.from_coo(n, rows, cols, weights)
-            assert_same_graph(graph, SparseGraph.from_scipy(upper + upper.T))
+            assert_same_graph(graph, SparseGraph(w, degrees, float(degrees.sum())))
             graph.validate()
 
     @pytest.mark.parametrize("degree, total", [(np.nan, 4.0), (1.0, np.nan)])

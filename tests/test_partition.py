@@ -331,6 +331,22 @@ class TestSubgraphBasisCache:
         assert not basis.eigenvectors.flags.writeable
         assert op.subgraph_basis(members, 4).n_eig == 4
 
+    def test_cache_keys_on_the_member_set(self, graph, monkeypatch):
+        # subgraph reduces any order and any repeats to the sorted distinct
+        # ids, so the cache must too: one solve, one entry, one object
+        calls = []
+        solve = eigen_mod.smallest_eigenpairs
+        monkeypatch.setattr(eigen_mod, "smallest_eigenpairs",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        op = DiffusionOperator(graph, 1.0)
+        members = np.arange(0, 300, 2)
+        repeated = np.concatenate([members, members[[5, 50, 100]]])
+        bases = [op.subgraph_basis(m, 6) for m in (members, members[::-1], repeated)]
+        assert bases[1] is bases[0] and bases[2] is bases[0]
+        assert len(calls) == 1 and len(op._subgraph_bases) == 1
+        with pytest.raises(ValueError, match="out of range"):
+            op.subgraph_basis([0, graph.n_nodes], 2)
+
     def test_each_split_factor_gets_its_own_basis_size(self, graph, monkeypatch):
         seen = []
         init = partition_mod.kmeans_init
