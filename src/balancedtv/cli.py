@@ -311,7 +311,7 @@ def _run_partition(options) -> int:
         n_eig = 2 * options.sweep[-1] if options.sweep else 5 * options.nhat
         basis = smallest_eigenpairs(op, min(n_eig, graph.n_nodes))
     else:
-        # solved before any fork, so that every worker shares the root's basis
+        # solved before any fork, so that every worker shares the root's eigenpairs
         split_basis(op, np.arange(graph.n_nodes), options.split_factor)
 
     # repeats run untraced; only the kept seed is rerun with traces on

@@ -74,22 +74,25 @@ class DiffusionOperator:
         """The n_eig smallest eigenpairs of the operator, at this gamma, on
         the subgraph that ``members`` induce; None if it has no edge.
 
-        The basis, with its subgraph and sub-operator, is built once per
-        member set and basis size and cached on this operator with its arrays
-        read-only: a later call with the same member set, in any order or
-        with repeats, returns the same object without indexing.
+        The eigenpairs are solved once per member set and basis size and
+        cached on this operator as read-only arrays: a later call with the
+        same member set, in any order or with repeats, wraps the same arrays
+        again.  The subgraph and its operator are built afresh on every call
+        and are not cached, so they live only as long as the returned basis.
         """
         members = _check_subset(self.graph, members)
         key = (members.tobytes(), n_eig)
+        sub = self.graph.subgraph(members)
         if key not in self._subgraph_bases:
-            sub = self.graph.subgraph(members)
-            basis = None
+            pairs = None
             if sub.total_weight > 0:
                 basis = smallest_eigenpairs(DiffusionOperator(sub, self.gamma), n_eig)
-                for arr in (basis.eigenvalues, basis.eigenvectors):
+                pairs = (basis.eigenvalues, basis.eigenvectors)
+                for arr in pairs:
                     arr.flags.writeable = False
-            self._subgraph_bases[key] = basis
-        return self._subgraph_bases[key]
+            self._subgraph_bases[key] = pairs
+        pairs = self._subgraph_bases[key]
+        return None if pairs is None else EigenBasis(DiffusionOperator(sub, self.gamma), *pairs)
 
     def infinity_norm_bound(self) -> float:
         """2 (1 + gamma) k_max, an upper bound on the infinity norm of M."""

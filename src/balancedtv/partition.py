@@ -164,9 +164,10 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
     ``converged`` taken over every split's MBO run; ``dt_used`` is None and
     the traces are empty.
 
-    Each subgraph's eigenbasis comes from :func:`split_basis`: it is solved
+    Each subgraph's eigenpairs come from :func:`split_basis`: they are solved
     from a fixed Lanczos start and cached on ``op``, so repeats on one
-    operator solve each member set once.  ``seed`` drives only the
+    operator solve each member set once, while the subgraph itself is
+    rebuilt for each split and dropped after it.  ``seed`` drives only the
     k-means initialization of each split.
     """
     if split_factor < 2:

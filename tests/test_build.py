@@ -167,8 +167,8 @@ class TestKnnGraph:
 
     def test_search_memory_bounded(self, rng):
         # numpy reports its buffers to tracemalloc, so the peak repeats
-        # exactly; past the search's working set, 160 bytes per directed
-        # edge cover the outputs and the graph assembly (about 125 measured)
+        # exactly; past the search's working set, 32 bytes per directed
+        # edge cover the outputs and the graph assembly (about 16 measured)
         n, k = 3000, 10
         pts = rng.standard_normal((n, 20))
         tracemalloc.start()
@@ -177,7 +177,7 @@ class TestKnnGraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < build_mod.KNN_BLOCK_BYTES + 160 * n * k
+        assert peak < build_mod.KNN_BLOCK_BYTES + 32 * n * k
 
     def test_assembly_memory_bounded(self, monkeypatch, rng):
         # after the search, the union and the graph peak at 67 bytes per

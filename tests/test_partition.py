@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -313,27 +315,39 @@ class TestSubgraphBasisCache:
         assert np.array_equal(recursive_partition(op, 2, seed=0).labels, first)
         assert calls == []
 
-    def test_cache_hit_returns_the_same_basis_without_indexing(self, graph, monkeypatch):
-        subgraphs = []
+    def test_cache_hit_reuses_the_eigenpairs_and_rebuilds_the_subgraph(
+            self, graph, monkeypatch):
+        # only the eigenpairs are cached: each call, hit or miss, indexes one
+        # subgraph, so no subgraph outlives the basis that wraps it
+        subgraphs, calls = [], []
         real = type(graph).subgraph
         monkeypatch.setattr(type(graph), "subgraph",
                             lambda g, nodes: subgraphs.append(1) or real(g, nodes))
+        solve = eigen_mod.smallest_eigenpairs
+        monkeypatch.setattr(eigen_mod, "smallest_eigenpairs",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
         op = DiffusionOperator(graph, 1.0)
         members = np.arange(0, 300, 2)
         isolated = np.array([0, 2], dtype=np.int64)  # no edge between them
         assert graph.adjacency[0, 2] == 0
         basis = op.subgraph_basis(members, 6)
         assert op.subgraph_basis(isolated, 2) is None
-        assert len(subgraphs) == 2
-        assert op.subgraph_basis(members, 6) is basis
+        assert len(subgraphs) == 2 and len(calls) == 1
+        hit = op.subgraph_basis(members, 6)
         assert op.subgraph_basis(isolated, 2) is None
-        assert len(subgraphs) == 2
+        assert len(subgraphs) == 4 and len(calls) == 1
+        assert op._subgraph_bases[(isolated.tobytes(), 2)] is None
+        assert hit is not basis and hit.operator.graph is not basis.operator.graph
+        assert hit.eigenvalues is basis.eigenvalues
+        assert hit.eigenvectors is basis.eigenvectors
+        assert not basis.eigenvalues.flags.writeable
         assert not basis.eigenvectors.flags.writeable
         assert op.subgraph_basis(members, 4).n_eig == 4
+        assert len(calls) == 2
 
     def test_cache_keys_on_the_member_set(self, graph, monkeypatch):
         # subgraph reduces any order and any repeats to the sorted distinct
-        # ids, so the cache must too: one solve, one entry, one object
+        # ids, so the cache must too: one solve, one entry, the same arrays
         calls = []
         solve = eigen_mod.smallest_eigenpairs
         monkeypatch.setattr(eigen_mod, "smallest_eigenpairs",
@@ -342,10 +356,34 @@ class TestSubgraphBasisCache:
         members = np.arange(0, 300, 2)
         repeated = np.concatenate([members, members[[5, 50, 100]]])
         bases = [op.subgraph_basis(m, 6) for m in (members, members[::-1], repeated)]
-        assert bases[1] is bases[0] and bases[2] is bases[0]
+        for basis in bases[1:]:
+            assert basis.eigenvalues is bases[0].eigenvalues
+            assert basis.eigenvectors is bases[0].eigenvectors
         assert len(calls) == 1 and len(op._subgraph_bases) == 1
         with pytest.raises(ValueError, match="out of range"):
             op.subgraph_basis([0, graph.n_nodes], 2)
+
+    def test_cache_retains_little_beyond_its_eigenpairs(self):
+        # numpy reports its buffers to tracemalloc; what deleting the
+        # operator frees is what its cache kept alive.  Caching whole
+        # sub-bases, subgraphs included, would make it 2.7 times the
+        # eigenpairs and keys
+        graph = planted_partition(600, 8, 10.0, 1.0, seed=0)[0]
+        tracemalloc.start()
+        try:
+            op = DiffusionOperator(graph, 1.0)
+            for seed in range(4):
+                recursive_partition(op, 2, seed=seed)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            cached = sum(len(members) + sum(arr.nbytes for arr in pairs or ())
+                         for (members, _), pairs in op._subgraph_bases.items())
+            del op
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < cached <= retained <= 1.25 * cached
 
     def test_each_split_factor_gets_its_own_basis_size(self, graph, monkeypatch):
         seen = []
