@@ -117,7 +117,7 @@ def parse_args(argv) -> argparse.Namespace:
 
     for attr in ("edges", "features", "supervision", "truth", "pred"):
         path = getattr(options, attr, None)
-        if path is not None and not os.path.isfile(path):
+        if path is not None and (os.path.isdir(path) or not os.path.exists(path)):
             parser.error(f"--{attr.replace('_', '-')}: cannot read file {path!r}")
     for attr, least in (("repeat", 1), ("seed", 0)):
         if getattr(options, attr, least) < least:

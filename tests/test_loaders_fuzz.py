@@ -7,18 +7,19 @@ stay at or below MAX_ID or are at least 2^63 - 1, which the edge-list loader
 rejects: it sizes the graph by the largest id, so an id in between asks for
 a huge allocation rather than failing to parse.
 
-The edge-list and label loaders parse a file in one numpy pass and fall back
-on a per-line parser for any file that pass is not sure of; both must give
-the same arrays or the same message.
+Each loader reads a file in one numpy pass, and the line an error names is
+the first bad line: the file cut after it fails with the same message, and
+the file cut before it loads.  Tables of edge-list and label files pin the
+exact outcome of the corner cases of each format.
 """
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from balancedtv import io, load_edge_list, load_features, load_label_pairs
+from balancedtv import SparseGraph, load_edge_list, load_features, load_label_pairs
 from conftest import assert_same_graph
 
 MAX_ID = 10**4
@@ -120,61 +121,114 @@ def test_valid_edge_list_loads_exactly(scratch, edges):
     assert np.allclose(graph.adjacency.toarray(), dense, rtol=1e-12, atol=0.0)
 
 
-def assert_same_outcome(load, per_line, path, same):
-    """load(path) and per_line(path) return results that ``same`` accepts,
-    or raise the same message."""
-    outcomes = []
-    for parse in (load, per_line):
-        try:
-            outcomes.append(parse(path))
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    fast, slow = outcomes
-    if isinstance(fast, str) or isinstance(slow, str):
-        assert fast == slow
-    else:
-        same(fast, slow)
+def message(load, path, text):
+    """The message of the ValueError load(path) raises on ``text``, or None
+    where it loads."""
+    path.write_text(text, newline="")
+    try:
+        load(path)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
-def assert_same_pairs(fast, slow):
-    for a, b in zip(fast, slow, strict=True):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-EDGE_CASES = [
-    "0 1 2.5 # note\n", "# h\r0 1 2 # x\r", "# see #1\n0 1 1\n", "0 1 1_0\n",
-    "1_0 0 1\n", f"0 {2**63 - 1} 1\n", f"{2**63} 0 1\n", "0 1 nan\n", "0 1 inf\n", "0 0 nan\n",
-    "0 1 -0.0\n1 2 1\n", "0 1 1e307\n1 2 1e307\n0 2 1e308\n",
-    "# i j w\r\n0 1 1\r\n1 2 0.5\r\n", "0 1 1\n   \n1 2 1\n", "", "# only\n",
-]
-LABEL_CASES = [
-    "node,label\n0,1 # x\n", "node,label\n1_0,1\n", f"node,label\n{2**63 - 1},0\n",
-    f"node,label\n{2**63},0\n", "node,label\r\n0,1\r\n1,0\r\n", "node,label\n0,1\n  \n1,0\n",
-    "", "node,label\n", "node,label\n0,1\n2,0\n0,2\n", "node,label\n 1 , 2 \n",
-]
-
-
-@pytest.mark.parametrize("text", EDGE_CASES)
-def test_edge_list_case_matches_per_line_parser(scratch, text):
-    scratch.write_text(text, newline="")
-    assert_same_outcome(load_edge_list, io._parse_edge_lines, scratch, assert_same_graph)
-
-
-@pytest.mark.parametrize("text", LABEL_CASES)
-def test_label_case_matches_per_line_parser(scratch, text):
-    scratch.write_text(text, newline="")
-    assert_same_outcome(load_label_pairs, io._parse_label_lines, scratch, assert_same_pairs)
+def assert_first_bad_line_named(load, path, text):
+    """Where load names line L of ``text``, the text cut after line L fails
+    with the same message, and the text cut before it loads, or for a
+    feature file is left empty."""
+    error = message(load, path, text)
+    where = re.match(rf"{re.escape(str(path))}: line (\d+): ", error or "")
+    if where:
+        lines = text.splitlines(keepends=True)
+        line = int(where.group(1))
+        assert message(load, path, "".join(lines[:line])) == error
+        before = message(load, path, "".join(lines[:line - 1]))
+        assert before is None or (load is load_features
+                                  and before == f"{path}: empty feature file"), before
 
 
 @FUZZ
 @given(text=edge_files)
-def test_edge_list_matches_per_line_parser(scratch, text):
-    scratch.write_text(text)
-    assert_same_outcome(load_edge_list, io._parse_edge_lines, scratch, assert_same_graph)
+def test_edge_list_names_first_bad_line(scratch, text):
+    assert_first_bad_line_named(load_edge_list, scratch, text)
 
 
 @FUZZ
 @given(text=label_files)
-def test_label_pairs_match_per_line_parser(scratch, text):
-    scratch.write_text(text)
-    assert_same_outcome(load_label_pairs, io._parse_label_lines, scratch, assert_same_pairs)
+def test_label_pairs_name_first_bad_line(scratch, text):
+    assert_first_bad_line_named(load_label_pairs, scratch, text)
+
+
+@FUZZ
+@example(text="inf,0\n1,\n")  # a non-finite row before a malformed one
+@given(text=feature_files)
+def test_features_name_first_bad_line(scratch, text):
+    assert_first_bad_line_named(load_features, scratch, text)
+
+
+@pytest.mark.parametrize("load,good,bad,fault", [
+    (load_edge_list, "0 1 1\n", "0 1\n", "expected 'i j w', got '0 1'"),
+    (load_features, "1,2\n", "1,2,3\n", "expected 2 numbers, got '1,2,3'"),
+], ids=["edges", "features"])
+@pytest.mark.parametrize("first,last", [(4096, 4096), (4097, 4097), (4097, 9000), (9000, 9000)])
+def test_first_bad_line_of_a_long_file(scratch, load, good, bad, fault, first, last):
+    # lines first..last are bad; the file is read again in chunks to find them
+    text = good * (first - 1) + bad * (last - first + 1) + good * (9000 - last)
+    assert message(load, scratch, text) == f"{scratch}: line {first}: {fault}"
+
+
+# each text with the graph it loads to, as from_coo arguments, or the message
+# that follows the file name
+EDGE_CASES = [
+    ("0 1 2.5 # note\n", "line 1: expected 'i j w', got '0 1 2.5 # note'"),
+    ("# h\r0 1 2 # x\r", "line 2: expected 'i j w', got '0 1 2 # x'"),
+    ("# see #1\n0 1 1\n", (2, [0], [1], [1.0])),
+    ("0 1 1_0\n", "line 1: expected 'i j w', got '0 1 1_0'"),
+    ("1_0 0 1\n", "line 1: expected 'i j w', got '1_0 0 1'"),
+    (f"0 {2**63 - 1} 1\n", f"line 1: node index {2**63 - 1} too large"),
+    (f"{2**63} 0 1\n", f"line 1: node index {2**63} too large"),
+    (f"0 1 1\n{-2**64} 0 1\n", "line 2: negative node index"),
+    ("0 1 nan\n", "line 1: weight nan is not a finite nonnegative number"),
+    ("0 1 inf\n", "line 1: weight inf is not a finite nonnegative number"),
+    ("0 0 nan\n", "line 1: weight nan is not a finite nonnegative number"),
+    ("0 1 -0.0\n1 2 1\n", (3, [0, 1], [1, 2], [-0.0, 1.0])),
+    ("0 1 1e307\n1 2 1e307\n0 2 1e308\n", "line 3: total edge weight overflows"),
+    ("0 1 nan\n0 1\n", "line 1: weight nan is not a finite nonnegative number"),
+    ("# i j w\r\n0 1 1\r\n1 2 0.5\r\n", (3, [0, 1], [1, 2], [1.0, 0.5])),
+    ("0 1 1\n   \n1 2 1\n", (3, [0, 1], [1, 2], [1.0, 1.0])),
+    ("", (0, [], [], [])),
+    ("# only\n", (0, [], [], [])),
+]
+# each text with the (nodes, labels) it loads to or the message
+LABEL_CASES = [
+    ("node,label\n0,1 # x\n", "line 2: expected 'node,label', got '0,1 # x'"),
+    ("node,label\n1_0,1\n", "line 2: expected 'node,label', got '1_0,1'"),
+    (f"node,label\n{2**63 - 1},0\n", ([2**63 - 1], [0])),
+    (f"node,label\n{2**63},0\n", f"line 2: entry {2**63} too large"),
+    ("node,label\r\n0,1\r\n1,0\r\n", ([0, 1], [1, 0])),
+    ("node,label\n0,1\n  \n1,0\n", ([0, 1], [1, 0])),
+    ("", "expected header 'node,label', got ''"),
+    ("node,label\n", ([], [])),
+    ("node,label\n0,1\n2,0\n0,2\n", "line 4: node 0 already labeled on line 2"),
+    ("node,label\n0,1\n0,2\n1\n", "line 3: node 0 already labeled on line 2"),
+    ("node,label\n 1 , 2 \n", ([1], [2])),
+]
+
+
+@pytest.mark.parametrize("text,expected", EDGE_CASES)
+def test_edge_list_case(scratch, text, expected):
+    if isinstance(expected, str):
+        assert message(load_edge_list, scratch, text) == f"{scratch}: {expected}"
+    else:
+        scratch.write_text(text, newline="")
+        assert_same_graph(load_edge_list(scratch), SparseGraph.from_coo(*expected))
+
+
+@pytest.mark.parametrize("text,expected", LABEL_CASES)
+def test_label_case(scratch, text, expected):
+    if isinstance(expected, str):
+        assert message(load_label_pairs, scratch, text) == f"{scratch}: {expected}"
+    else:
+        scratch.write_text(text, newline="")
+        for loaded, want in zip(load_label_pairs(scratch), expected, strict=True):
+            assert loaded.dtype == np.int64 and np.array_equal(loaded, want)
