@@ -25,7 +25,7 @@ from .eigen import DiffusionOperator, smallest_eigenpairs
 from .graph import Supervision
 from .mbo import mbo_run, random_start
 from .metrics import CONSISTENCY_TOL, classification_rate, consistency, purity
-from .partition import recursive_partition, split_basis, sweep_nhat
+from .partition import recursive_partition, sweep_nhat
 
 __all__ = ["parse_args", "run", "main"]
 
@@ -284,6 +284,9 @@ def _run_repeats(job, seeds):
 
 def _run_partition(options) -> int:
     graph = _load_graph(options)
+    if graph.total_weight <= 0:
+        flag = "edges" if options.edges else "features"
+        raise ValueError(f"--{flag} {getattr(options, flag)}: no edge of positive weight")
     truth = io.load_labels(options.truth) if options.truth else None
     if truth is not None and truth.size != graph.n_nodes:
         raise ValueError(f"--truth {options.truth}: covers {truth.size} nodes, "
@@ -310,9 +313,6 @@ def _run_partition(options) -> int:
         # matched 5*MAX's; fixed runs were not measured below 5*nhat
         n_eig = 2 * options.sweep[-1] if options.sweep else 5 * options.nhat
         basis = smallest_eigenpairs(op, min(n_eig, graph.n_nodes))
-    else:
-        # solved before any fork, so that every worker shares the root's eigenpairs
-        split_basis(op, np.arange(graph.n_nodes), options.split_factor)
 
     # repeats run untraced; only the kept seed is rerun with traces on
     seeds = list(range(options.seed, options.seed + options.repeat))
@@ -397,6 +397,8 @@ def _run_metrics(options) -> int:
     if pred.size != truth.size:
         raise ValueError(f"--pred {options.pred} has {pred.size} labels but "
                          f"--truth {options.truth} has {truth.size}")
+    if not pred.size:
+        raise ValueError(f"--pred {options.pred} and --truth {options.truth}: no labels")
     print(f"purity: {purity(pred, truth):.6f}")
     print(f"classification: {classification_rate(pred, truth):.6f}")
     return 0

@@ -8,19 +8,20 @@ c*I - M (c an upper bound on ||M||), which turns the low end of the spectrum
 into the well-separated high end of a PSD operator.  Operators below
 DENSE_SOLVE_LIMIT nodes are solved densely instead: there a partial dense
 eigendecomposition is faster than Lanczos, and it resolves repeated
-eigenvalues that single-vector Lanczos returns only once.
+eigenvalues that single-vector Lanczos returns only once.  The operator also
+holds the cache in which ``partition`` keeps the bases of recursive splits.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .graph import SparseGraph, _check_subset
+from .graph import SparseGraph
 
 __all__ = [
     "DiffusionOperator",
@@ -45,13 +46,13 @@ class DiffusionOperator:
 
     graph: SparseGraph
     gamma: float
+    _split_bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
         if self.graph.total_weight <= 0:
             raise ValueError("operator undefined on a graph with no edges")
-        object.__setattr__(self, "_subgraph_bases", {})
 
     @property
     def m(self) -> float:
@@ -69,30 +70,6 @@ class DiffusionOperator:
         if v.ndim == 1:
             return k * v - self.graph.adjacency @ v + coeff * (k @ v) * k
         return k[:, None] * v - self.graph.adjacency @ v + coeff * np.outer(k, k @ v)
-
-    def subgraph_basis(self, members: np.ndarray, n_eig: int) -> EigenBasis | None:
-        """The n_eig smallest eigenpairs of the operator, at this gamma, on
-        the subgraph that ``members`` induce; None if it has no edge.
-
-        The eigenpairs are solved once per member set and basis size and
-        cached on this operator as read-only arrays: a later call with the
-        same member set, in any order or with repeats, wraps the same arrays
-        again.  The subgraph and its operator are built afresh on every call
-        and are not cached, so they live only as long as the returned basis.
-        """
-        members = _check_subset(self.graph, members)
-        key = (members.tobytes(), n_eig)
-        sub = self.graph.subgraph(members)
-        if key not in self._subgraph_bases:
-            pairs = None
-            if sub.total_weight > 0:
-                basis = smallest_eigenpairs(DiffusionOperator(sub, self.gamma), n_eig)
-                pairs = (basis.eigenvalues, basis.eigenvectors)
-                for arr in pairs:
-                    arr.flags.writeable = False
-            self._subgraph_bases[key] = pairs
-        pairs = self._subgraph_bases[key]
-        return None if pairs is None else EigenBasis(DiffusionOperator(sub, self.gamma), *pairs)
 
     def infinity_norm_bound(self) -> float:
         """2 (1 + gamma) k_max, an upper bound on the infinity norm of M."""

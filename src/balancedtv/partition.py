@@ -3,19 +3,20 @@
 Three policies: a fixed count (a plain ``mbo_run`` at the automatic
 timestep), a modularity-maximizing sweep over a range of counts and a fixed
 set of timesteps that reuses a single eigenbasis, and recursive splitting
-gated on full-graph modularity gain.  Also provides the
-k-means-on-eigenvectors initialization that seeds each recursive split.
+gated on full-graph modularity gain, which alone picks, solves and caches
+the basis each split starts from.  Also provides the k-means-on-eigenvectors
+initialization that seeds each recursive split.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .eigen import DiffusionOperator, EigenBasis
+from .eigen import DiffusionOperator, EigenBasis, smallest_eigenpairs
 from .graph import Supervision, modularity
 from .mbo import DT_CAP_FACTOR, MboResult, mbo_run, random_start, timestep_bounds
 
-__all__ = ["kmeans_init", "sweep_nhat", "recursive_partition", "split_basis"]
+__all__ = ["kmeans_init", "sweep_nhat", "recursive_partition"]
 
 DT_LADDER = 8  # rungs of the geometric timestep ladder over [tau_lo, cap]
 DT_SWEPT = 5  # its top rungs, the timesteps a sweep tries per count
@@ -138,15 +139,27 @@ def sweep_nhat(basis: EigenBasis, nhats, *, seed: int = 0,
     return best
 
 
-def split_basis(op: DiffusionOperator, members: np.ndarray,
-                split_factor: int) -> EigenBasis | None:
-    """The eigenbasis a recursive split of ``members`` into ``split_factor``
-    parts starts from, from the cache of :meth:`DiffusionOperator.subgraph_basis`;
-    None for a set too small to split or without an edge."""
+def _split_basis(op: DiffusionOperator, members: np.ndarray,
+                 split_factor: int) -> EigenBasis | None:
+    """The basis a split of ``members`` (sorted and distinct) into
+    ``split_factor`` parts starts from: min(5 * split_factor, size) pairs on
+    the subgraph they induce; None for a set too small to split or edgeless.
+    The eigenpairs are solved once per member set and split factor and kept
+    read-only on ``op`` for repeats to share; the subgraph is rebuilt."""
     # k-means on a smaller community's basis would have fewer columns than parts
     if members.size < max(MIN_SPLIT_SIZE, split_factor):
         return None
-    return op.subgraph_basis(members, min(5 * split_factor, members.size))
+    sub = op.graph.subgraph(members)
+    if sub.total_weight <= 0:
+        return None
+    sub_op = DiffusionOperator(sub, op.gamma)
+    key = (members.tobytes(), split_factor)
+    if key in op._split_bases:
+        return EigenBasis(sub_op, *op._split_bases[key])
+    basis = smallest_eigenpairs(sub_op, min(5 * split_factor, members.size))
+    basis.eigenvalues.flags.writeable = basis.eigenvectors.flags.writeable = False
+    op._split_bases[key] = (basis.eigenvalues, basis.eigenvectors)
+    return basis
 
 
 def recursive_partition(op: DiffusionOperator, split_factor: int, *,
@@ -159,16 +172,15 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
     induced subgraph into at most ``split_factor`` parts; the split is kept
     only if modularity of the whole graph, with the original degrees and
     total weight, increases by more than GAIN_TOL.  Accepted parts are
-    revisited until no community admits a profitable split.  Returns an
-    :class:`MboResult` of contiguous labels with ``iterations`` and
-    ``converged`` taken over every split's MBO run; ``dt_used`` is None and
-    the traces are empty.
+    revisited until no community admits a profitable split.  A kept split
+    leaves the first part the parent's label and numbers the others next,
+    so the labels stay contiguous.  Returns an :class:`MboResult` with
+    ``iterations`` and ``converged`` taken over every split's MBO run;
+    ``dt_used`` is None and the traces are empty.
 
-    Each subgraph's eigenpairs come from :func:`split_basis`: they are solved
-    from a fixed Lanczos start and cached on ``op``, so repeats on one
-    operator solve each member set once, while the subgraph itself is
-    rebuilt for each split and dropped after it.  ``seed`` drives only the
-    k-means initialization of each split.
+    Each split starts from the basis of :func:`_split_basis`, cached on
+    ``op``: repeats on one operator solve each member set once.  ``seed``
+    drives only the k-means initialization of each split.
     """
     if split_factor < 2:
         raise ValueError("split_factor must be at least 2")
@@ -182,7 +194,7 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
 
     while pending:
         members = pending.pop()
-        basis = split_basis(op, members, split_factor)
+        basis = _split_basis(op, members, split_factor)
         if basis is None:
             continue
         start = kmeans_init(basis, split_factor, seed=seed + subproblem)
@@ -192,22 +204,16 @@ def recursive_partition(op: DiffusionOperator, split_factor: int, *,
         converged = converged and result.converged
 
         parts = np.unique(result.labels)
-        if parts.size < 2:
-            continue
         candidate = labels.copy()
-        for part in parts[1:]:  # first part keeps the parent label
-            candidate[members[result.labels == part]] = next_label
-            next_label += 1
+        for label, part in enumerate(parts[1:], start=next_label):
+            candidate[members[result.labels == part]] = label  # part 0 keeps the parent's
         candidate_q = modularity(graph, candidate, gamma)
         if candidate_q > current_q + GAIN_TOL:
-            labels = candidate
-            current_q = candidate_q
-            for part in parts:
-                pending.append(members[result.labels == part])
+            labels, current_q = candidate, candidate_q
+            next_label += parts.size - 1
+            pending += [members[result.labels == part] for part in parts]
 
-    labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
     empty = np.empty(0)
     return MboResult(labels=labels, iterations=iterations, dt_used=None,
-                     energy_trace=empty, modularity_trace=empty,
-                     modularity=modularity(graph, labels, gamma),
-                     converged=converged, nhat=int(labels.max()) + 1)
+                     energy_trace=empty, modularity_trace=empty, modularity=current_q,
+                     converged=converged, nhat=next_label)

@@ -649,6 +649,27 @@ class TestEndToEnd:
         assert (f"error: --pred {pred} has 3 labels but --truth {truth} has 2"
                 in captured.err)
 
+    def test_metrics_on_empty_label_files_names_flags_and_files(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+        pred.write_text("node,label\n")
+        truth.write_text("node,label\n")
+        assert main(["metrics", "--pred", str(pred), "--truth", str(truth)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --pred {pred} and --truth {truth}: no labels\n")
+
+    @pytest.mark.parametrize("content", ["# only a comment\n", "0 0 1\n2 2 3.5\n",
+                                         "0 1 0\n1 2 0.0\n"])
+    @pytest.mark.parametrize("strategy", [["--nhat", "2"], ["--recursive"]])
+    def test_edge_list_without_positive_edge_named(self, tmp_path, capsys, content,
+                                                   strategy):
+        edges = tmp_path / "g.txt"
+        edges.write_text(content)
+        assert main(["partition", "--edges", str(edges), *strategy,
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --edges {edges}: no edge of positive weight\n")
+        assert not (tmp_path / "x_labels.csv").exists()
+
     @pytest.mark.parametrize("flag,name,content", [
         ("--edges", "g.txt", f"0 1 1.0\n1 2 1.0\n2 {2**63 - 1} 1.0\n"),
         ("--supervision", "sup.csv", f"node,label\n0,0\n{2**63},1\n"),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 from pathlib import Path
@@ -5,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import balancedtv.eigen as eigen_mod
 import balancedtv.mbo as mbo_mod
 import balancedtv.partition as partition_mod
 from balancedtv import (
@@ -32,6 +32,15 @@ from balancedtv.partition import (
     _sweep_timesteps,
 )
 from conftest import complete_graph, random_graph, two_cliques
+
+
+def independent_set(graph, size):
+    """The first ``size`` nodes, greedily in id order, with no edge among them."""
+    dense, chosen = graph.adjacency.toarray(), []
+    for node in range(graph.n_nodes):
+        if len(chosen) < size and not dense[node, chosen].any():
+            chosen.append(node)
+    return np.array(chosen, dtype=np.int64)
 
 
 def sweep_basis(graph, max_nhat):
@@ -275,6 +284,23 @@ class TestRecursive:
         g, _ = planted_partition(120, 4, 9.0, 0.5, seed=2)
         assert not recursive_partition(DiffusionOperator(g, 1.0), 2).converged
 
+    def test_split_into_one_part_is_rejected(self, monkeypatch):
+        # a one-part split leaves the labels as they were, so it gains nothing
+        runs = []
+        solve = partition_mod.mbo_run
+
+        def one_part(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            runs.append(result)
+            return dataclasses.replace(result, labels=np.zeros_like(result.labels))
+
+        monkeypatch.setattr(partition_mod, "mbo_run", one_part)
+        g, _ = planted_partition(120, 4, 9.0, 0.5, seed=2)
+        result = recursive_partition(DiffusionOperator(g, 0.5), 2)
+        assert len(runs) == 1
+        assert np.array_equal(result.labels, np.zeros(g.n_nodes))
+        assert result.nhat == 1 and result.modularity == 1 - 0.5
+
     def test_determinism(self):
         g, _ = planted_partition(100, 4, 8.0, 1.0, seed=3)
         op = DiffusionOperator(g, 1.0)
@@ -301,13 +327,13 @@ class TestSubgraphBasisCache:
 
     def test_rerun_on_one_operator_solves_nothing(self, graph, monkeypatch):
         calls = []
-        solve = eigen_mod.smallest_eigenpairs
+        solve = partition_mod.smallest_eigenpairs
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(eigen_mod, "smallest_eigenpairs", counted)
+        monkeypatch.setattr(partition_mod, "smallest_eigenpairs", counted)
         op = DiffusionOperator(graph, 1.0)
         first = recursive_partition(op, 2, seed=0).labels
         assert calls
@@ -323,45 +349,47 @@ class TestSubgraphBasisCache:
         real = type(graph).subgraph
         monkeypatch.setattr(type(graph), "subgraph",
                             lambda g, nodes: subgraphs.append(1) or real(g, nodes))
-        solve = eigen_mod.smallest_eigenpairs
-        monkeypatch.setattr(eigen_mod, "smallest_eigenpairs",
+        solve = partition_mod.smallest_eigenpairs
+        monkeypatch.setattr(partition_mod, "smallest_eigenpairs",
                             lambda *a, **kw: calls.append(1) or solve(*a, **kw))
         op = DiffusionOperator(graph, 1.0)
         members = np.arange(0, 300, 2)
-        isolated = np.array([0, 2], dtype=np.int64)  # no edge between them
-        assert graph.adjacency[0, 2] == 0
-        basis = op.subgraph_basis(members, 6)
-        assert op.subgraph_basis(isolated, 2) is None
+        isolated = independent_set(graph, partition_mod.MIN_SPLIT_SIZE)
+        basis = partition_mod._split_basis(op, members, 2)
+        assert basis.n_eig == 10
+        assert partition_mod._split_basis(op, isolated, 2) is None
         assert len(subgraphs) == 2 and len(calls) == 1
-        hit = op.subgraph_basis(members, 6)
-        assert op.subgraph_basis(isolated, 2) is None
+        hit = partition_mod._split_basis(op, members, 2)
+        assert partition_mod._split_basis(op, isolated, 2) is None
         assert len(subgraphs) == 4 and len(calls) == 1
-        assert op._subgraph_bases[(isolated.tobytes(), 2)] is None
+        assert list(op._split_bases) == [(members.tobytes(), 2)]  # no edgeless entry
         assert hit is not basis and hit.operator.graph is not basis.operator.graph
         assert hit.eigenvalues is basis.eigenvalues
         assert hit.eigenvectors is basis.eigenvectors
         assert not basis.eigenvalues.flags.writeable
         assert not basis.eigenvectors.flags.writeable
-        assert op.subgraph_basis(members, 4).n_eig == 4
+        assert partition_mod._split_basis(op, members, 3).n_eig == 15
         assert len(calls) == 2
+        assert partition_mod._split_basis(op, members[:3], 2) is None  # too small
+        assert len(subgraphs) == 5
 
-    def test_cache_keys_on_the_member_set(self, graph, monkeypatch):
-        # subgraph reduces any order and any repeats to the sorted distinct
-        # ids, so the cache must too: one solve, one entry, the same arrays
-        calls = []
-        solve = eigen_mod.smallest_eigenpairs
-        monkeypatch.setattr(eigen_mod, "smallest_eigenpairs",
-                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    def test_recursion_hands_down_sorted_distinct_int64_sets(self, graph, monkeypatch):
+        # the cache keys on the members' bytes, which name the set only so
+        seen = []
+        split_basis = partition_mod._split_basis
+
+        def recorded(op, members, split_factor):
+            seen.append(members)
+            return split_basis(op, members, split_factor)
+
+        monkeypatch.setattr(partition_mod, "_split_basis", recorded)
         op = DiffusionOperator(graph, 1.0)
-        members = np.arange(0, 300, 2)
-        repeated = np.concatenate([members, members[[5, 50, 100]]])
-        bases = [op.subgraph_basis(m, 6) for m in (members, members[::-1], repeated)]
-        for basis in bases[1:]:
-            assert basis.eigenvalues is bases[0].eigenvalues
-            assert basis.eigenvectors is bases[0].eigenvectors
-        assert len(calls) == 1 and len(op._subgraph_bases) == 1
-        with pytest.raises(ValueError, match="out of range"):
-            op.subgraph_basis([0, graph.n_nodes], 2)
+        for split_factor in (2, 3):
+            assert recursive_partition(op, split_factor, seed=1).nhat > 1
+        assert len(seen) > 2
+        for members in seen:
+            assert members.dtype == np.int64
+            assert np.all(np.diff(members) > 0)
 
     def test_cache_retains_little_beyond_its_eigenpairs(self):
         # numpy reports its buffers to tracemalloc; what deleting the
@@ -376,8 +404,8 @@ class TestSubgraphBasisCache:
                 recursive_partition(op, 2, seed=seed)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
-            cached = sum(len(members) + sum(arr.nbytes for arr in pairs or ())
-                         for (members, _), pairs in op._subgraph_bases.items())
+            cached = sum(len(members) + sum(arr.nbytes for arr in pairs)
+                         for (members, _), pairs in op._split_bases.items())
             del op
             gc.collect()
             retained = held - tracemalloc.get_traced_memory()[0]
