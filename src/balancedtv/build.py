@@ -90,17 +90,11 @@ def _tile_best(tile: np.ndarray, k: int) -> np.ndarray:
     # is no larger, so the k-th smallest is the largest of those k
     part = np.argpartition(tile, k, axis=1)[:, : k + 1].copy()  # frees the rest
     part_d = np.take_along_axis(tile, part, axis=1)
-    kth = part_d[:, :k].max(axis=1, keepdims=True)
-    if not (part_d[:, k:] == kth).any():
-        return np.sort(part[:, :k], axis=1)
-    # ties straddle the k-th value: take every entry below it, then the tied
-    # entries in column order until k are taken
-    below = tile < kth
-    tied = tile == kth
-    need = k - np.count_nonzero(below, axis=1)
-    tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= need[:, None]
-    below |= tied
-    return np.nonzero(below)[1].reshape(-1, k)
+    best = np.sort(part[:, :k], axis=1)
+    # rows whose ties straddle the k-th value: a stable sort takes ties in column order
+    tied = np.flatnonzero(part_d[:, k] == part_d[:, :k].max(axis=1))
+    best[tied] = np.sort(np.argsort(tile[tied], axis=1, kind="stable")[:, :k], axis=1)
+    return best
 
 
 def _knn_distances(features: np.ndarray, k: int):

@@ -12,7 +12,6 @@ import argparse
 import os
 import pickle
 import signal
-import statistics
 import sys
 import time
 import warnings
@@ -356,7 +355,7 @@ def _run_partition(options) -> int:
         print(f"best {name}: {max(values):.6f}")
     for name, values in scores.items():
         print(f"{name} consistency (tol {CONSISTENCY_TOL}): {consistency(values):.6f}")
-    print(f"median wall time: {statistics.median(times):.1f} ms")
+    print(f"median wall time: {np.median(times):.1f} ms")
     return 0
 
 

@@ -77,7 +77,8 @@ def complete_graph(n, weight=1.0):
 
 
 def assert_same_graph(a, b):
-    """The two graphs store the same CSR arrays, degrees and 2m, dtypes too."""
+    """The two graphs store the same CSR arrays, dtypes too, and derive the
+    same degrees and 2m."""
     pairs = [(getattr(a.adjacency, f), getattr(b.adjacency, f))
              for f in ("indptr", "indices", "data")]
     for x, y in pairs + [(a.degrees, b.degrees)]:

@@ -376,6 +376,11 @@ class TestFileFormats:
                 os.close(read_end)
         assert from_pipe(load_edge_list, "# i j w\n0 2 1.5\n").total_weight == 3.0
         assert np.array_equal(from_pipe(load_labels, "node,label\n1,0\n0,1\n"), [1, 0])
+        assert np.array_equal(from_pipe(load_features, "# x,y\n1.5,2\n-3,4e1\n"),
+                              [[1.5, 2], [-3, 40]])
+        # the error's line number is counted over the text read from the pipe
+        with pytest.raises(ValueError, match="line 3: negative node index"):
+            from_pipe(load_edge_list, "# i j w\n0 2 1.5\n-1 2 1\n")
 
     def test_label_pairs_subset(self, tmp_path):
         path = tmp_path / "sup.csv"

@@ -41,7 +41,7 @@ def test_import_skips_slow_scipy_modules():
     src = os.path.dirname(os.path.dirname(balancedtv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, balancedtv.cli; "
-            "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize') "
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.optimize', 'statistics') "
             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

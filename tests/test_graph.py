@@ -124,21 +124,18 @@ class TestSparseGraph:
             w = sp.csr_matrix(upper + upper.T)
             degrees = np.asarray(w.sum(axis=1)).ravel()
             graph = SparseGraph.from_coo(n, rows, cols, weights)
-            assert_same_graph(graph, SparseGraph(w, degrees, float(degrees.sum())))
+            assert_same_graph(graph, SparseGraph(w))
+            assert np.array_equal(graph.degrees, degrees)
+            assert graph.total_weight == float(degrees.sum())
             graph.validate()
-
-    @pytest.mark.parametrize("degree, total", [(np.nan, 4.0), (1.0, np.nan)])
-    def test_validate_rejects_nan(self, degree, total):
-        degrees = P3.degrees.copy()
-        degrees[0] = degree
-        with pytest.raises(ValueError, match="disagree"):
-            SparseGraph(P3.adjacency, degrees, total).validate()
 
     def test_immutability(self):
         for arr in (K3.adjacency.indptr, K3.adjacency.indices, K3.adjacency.data,
                     K3.degrees):
             with pytest.raises(ValueError):
                 arr[0] = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            K3.degrees = np.zeros(3)
 
 
 class TestPartitionViews:
@@ -242,10 +239,12 @@ class TestModularity:
 
     def test_caches_nothing_on_the_graph(self, rng):
         # a cached per-entry index lives as long as the graph, and the
-        # sub-basis cache keeps every split's subgraph alive
+        # sub-basis cache keeps every split's subgraph alive; the graph holds
+        # its one field and the per-node degrees and 2m derived from it
         g = random_graph(rng, 9)
         modularity(g, random_labels(rng, 9, 3), 1.0)
-        assert set(vars(g)) == {field.name for field in dataclasses.fields(g)}
+        assert [field.name for field in dataclasses.fields(g)] == ["adjacency"]
+        assert set(vars(g)) == {"adjacency", "degrees", "total_weight"}
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_gamma_outside_positive_reals(self, gamma):
