@@ -108,6 +108,27 @@ class TestSparseGraph:
             assert sub.n_nodes == size
             sub.validate()
 
+    # a star with centre 0, leaves 1-3 and isolated nodes 4 and 5: empty
+    # rows, members without a member neighbour and an empty node set
+    @pytest.mark.parametrize("nodes", [[], [1, 2, 3], [4, 5], [0, 4], [0, 2, 5], range(6)],
+                             ids=["empty", "leaves", "isolated", "centre-isolated",
+                                  "mixed", "all"])
+    def test_subgraph_edge_cases_match_validated_build(self, nodes):
+        g = SparseGraph.from_coo(6, [0, 0, 0], [1, 2, 3], [1.0, 2.0, 0.5])
+        nodes = np.asarray(nodes, dtype=np.int64)
+        sub = g.subgraph(nodes)
+        ref = SparseGraph.from_dense(g.adjacency.toarray()[np.ix_(nodes, nodes)])
+        assert_same_graph(sub, ref)
+        assert_same_graph(sub.subgraph(np.arange(nodes.size)), ref)
+        sub.validate()
+
+    def test_degrees_and_total_weight_derived_once(self, rng):
+        g = random_graph(rng, 12)
+        degrees = g.degrees
+        assert g.degrees is degrees
+        assert np.array_equal(degrees, np.asarray(g.adjacency.sum(axis=1)).ravel())
+        assert g.total_weight == float(degrees.sum())
+
     def test_from_coo_matches_mirrored_upper_triangle(self, rng):
         # repeats in both orientations, self-loops and zero weights; the
         # reference sums each edge's repeats in the upper triangle with
