@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .graph import SparseGraph
+from .graph import SparseGraph, _two_m
 
 __all__ = [
     "DiffusionOperator",
@@ -51,8 +51,7 @@ class DiffusionOperator:
     def __post_init__(self):
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
-        if self.graph.total_weight <= 0:
-            raise ValueError("operator undefined on a graph with no edges")
+        _two_m(self.graph)  # raises on a graph with no edges
 
     @property
     def m(self) -> float:

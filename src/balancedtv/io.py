@@ -7,14 +7,14 @@ is an error.  Labels: CSV ``node,label`` with a header and no comments.
 Features: CSV of floats, one row per point, no header; ``#`` starts a
 comment anywhere on a line.  All three skip lines of only whitespace.
 
-Each loader streams its file once through np.loadtxt and checks the values
-with vectorised tests.  A ValueError names the file and its first bad line,
-found by reading the file again; a pipe, read only once, is kept in memory.
+Each loader streams its file once through np.loadtxt, CHUNK_LINES lines per
+call, and checks the values with vectorised tests.  A ValueError names the
+file and its first bad line, found by parsing a rejected chunk line by line
+and numbered by reading it again; a pipe, read only once, is kept in memory.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import itertools
 import os
@@ -33,6 +33,7 @@ __all__ = ["load_edge_list", "save_edge_list", "load_labels", "load_label_pairs"
 WEIGHT_SUM_LIMIT = np.finfo(np.float64).max / 4  # keeps every degree and 2m finite
 INT64_MAX = np.iinfo(np.int64).max
 _blank_or_comment = re.compile(r"\s*(?:#|$)").match  # edge-list and feature lines not data
+CHUNK_LINES = 4096  # data lines per np.loadtxt call
 
 
 def load_edge_list(path) -> SparseGraph:
@@ -69,13 +70,17 @@ def _edge_problems(edges, line_of):
 
 
 def save_edge_list(path, graph: SparseGraph) -> None:
-    """Write one line per undirected edge (upper triangle of W)."""
+    """Write one line per undirected edge (upper triangle of W), then, when
+    node n-1 has no edge, the self-loop ``n-1 n-1 0.0``: the loader drops it
+    but sizes the graph by it."""
     i, j = graph.row_index(), graph.adjacency.indices
     upper = i < j
     with open(path, "w") as fh:
         fh.write("# i j w\n")
         for a, b, w in zip(i[upper], j[upper], graph.adjacency.data[upper]):
             fh.write(f"{a} {b} {float(w)!r}\n")
+        if j[upper].max(initial=-1) < graph.n_nodes - 1:
+            fh.write(f"{graph.n_nodes - 1} {graph.n_nodes - 1} 0.0\n")
 
 
 def load_labels(path) -> np.ndarray:
@@ -142,8 +147,8 @@ def save_features(path, features) -> None:
 
 
 def _load(path, skip, problems, unparsable, header=None, **loadtxt):
-    """Stream the data lines of ``path`` through one np.loadtxt(**loadtxt)
-    pass; return the array and line_of, which maps a row to its 1-based line.
+    """Stream the data lines of ``path`` through np.loadtxt(**loadtxt) in
+    chunks; return the array and line_of, which maps a row to its 1-based line.
 
     A line that skip(line) accepts is not data, nor is a first line that
     must read ``header``.  problems(array, line_of) lists checks (mask,
@@ -161,13 +166,12 @@ def _load(path, skip, problems, unparsable, header=None, **loadtxt):
                 raise ValueError(f"{path}: expected header {header!r}, got {found!r}")
             yield fh
 
-    def parse(data, limit=None):
-        """The first ``limit`` data lines of ``data`` as an array, or None."""
+    def parse(data):
+        """The lines ``data`` as an array, or None where np.loadtxt rejects them."""
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # np.loadtxt warns on no data
-                return np.loadtxt(itertools.islice(itertools.filterfalse(skip, data), limit),
-                                  **loadtxt)
+                return np.loadtxt(data, **loadtxt)
         except ValueError:
             return None
 
@@ -176,37 +180,33 @@ def _load(path, skip, problems, unparsable, header=None, **loadtxt):
             numbers = (n for n, line in enumerate(fh, 2 if header else 1) if not skip(line))
             return next(itertools.islice(numbers, row, None))
 
+    def append(chunk):
+        """Append the rows of ``chunk`` before its first bad line to values,
+        grown in place so that no row is held twice; return that line."""
+        part = parse(chunk)
+        if part is None or (len(values) and part.shape[1:] != values.shape[1:]):
+            # one line is the bad line; a chunk is read again line by line
+            return chunk[0] if len(chunk) == 1 else read([line] for line in chunk)
+        chunk.clear()  # its lines are freed before values grows
+        values.resize((len(values) + len(part), *part.shape[1:]), refcheck=False)
+        # as bytes: numpy copies a structured array field by field, 8 times slower
+        values[-len(part):].view(np.uint8)[:] = part.view(np.uint8)
+
+    def read(chunks):  # appends to values the rows before the first bad line; returns it
+        return next(filter(None, map(append, chunks)), None)
+
+    values = parse([])  # no rows, in the loader's dtype and shape
     with lines() as fh:
-        values, bad = parse(fh), None
-    if values is None:
-        with lines() as fh:
-            bad, rejected = _first_rejected(itertools.filterfalse(skip, fh), parse)
-        with lines() as fh:
-            values = parse(fh, bad)
+        data = itertools.filterfalse(skip, fh)
+        rejected = read(iter(lambda: list(itertools.islice(data, CHUNK_LINES)), []))
     flagged = [(mask.argmax(), message)
                for mask, message in problems(values, line_of) if mask.any()]
-    if bad is not None:  # the rejected line follows every row of values
-        flagged.append((bad, lambda row: unparsable(rejected, values)))
+    if rejected is not None:  # the rejected line follows every row of values
+        flagged.append((len(values), lambda row: unparsable(rejected, values)))
     if flagged:
         row, message = min(flagged, key=lambda found: found[0])
         raise ValueError(f"{path}: line {line_of(row)}: {message(row)}")
     return values, line_of
-
-
-def _first_rejected(data, parse):
-    """The index and text of the first of the lines ``data`` that np.loadtxt
-    rejects, where it rejects them all: the first chunk that it rejects, or
-    whose rows are not as wide as those before, is bisected, since a prefix
-    that fails stays failed."""
-    start, width = 0, None
-    while chunk := list(itertools.islice(data, 4096)):
-        def fits(k):
-            part = parse(chunk, k)
-            return part is not None and width in (None, part.shape[1:])
-        if not fits(len(chunk)):
-            row = bisect.bisect_left(range(len(chunk)), True, key=lambda k: not fits(k + 1))
-            return start + row, chunk[row]
-        start, width = start + len(chunk), parse(chunk).shape[1:]
 
 
 def _unparsable(text, sep, layout, name=None):

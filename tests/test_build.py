@@ -334,6 +334,29 @@ class TestFileFormats:
         loaded = load_edge_list(path)
         assert (loaded.adjacency != g.adjacency).nnz == 0
 
+    @pytest.mark.parametrize("n,edges", [(5, [(0, 1), (1, 2)]), (5, [(2, 3), (0, 1)]),
+                                         (3, []), (1, [])])
+    def test_edge_list_round_trip_keeps_isolated_last_node(self, tmp_path, n, edges):
+        # the loader sizes a graph by its largest index, so the writer ends a
+        # file whose last node has no edge with a zero-weight self-loop on it
+        dense = np.zeros((n, n))
+        for a, b in edges:
+            dense[a, b] = dense[b, a] = 1.0
+        g = SparseGraph.from_dense(dense)
+        path = tmp_path / "g.txt"
+        save_edge_list(path, g)
+        assert_same_graph(load_edge_list(path), g)
+        assert path.read_text().endswith(f"\n{n - 1} {n - 1} 0.0\n")
+
+    @pytest.mark.parametrize("dense,text", [
+        ([[0, 2.5, 0], [2.5, 0, 1], [0, 1, 0]], "0 1 2.5\n1 2 1.0\n"),
+        (np.zeros((0, 0)), ""),
+    ], ids=["last-node-linked", "no-nodes"])
+    def test_edge_list_bytes_without_isolated_last_node(self, tmp_path, dense, text):
+        path = tmp_path / "g.txt"
+        save_edge_list(path, SparseGraph.from_dense(dense))
+        assert path.read_bytes() == f"# i j w\n{text}".encode()
+
     def test_labels_round_trip(self, tmp_path):
         labels = np.array([0, 2, 1, 1, 0])
         path = tmp_path / "labels.csv"

@@ -413,6 +413,22 @@ class TestEndToEnd:
             "--truth", str(truth), "--out", str(tmp_path / "swp"),
         ]) == 0
 
+    # a graph of mostly isolated nodes has a repeated zero eigenvalue
+    @pytest.mark.filterwarnings("ignore:eigenvalue .* nearly coincide:UserWarning")
+    @pytest.mark.parametrize("seed", [2, 4, 5, 7])
+    def test_generated_graph_keeps_isolated_last_node(self, tmp_path, seed):
+        # at these seeds node 39 draws no edge; the written graph still has 40 nodes
+        edges, truth = tmp_path / "p.txt", tmp_path / "t.csv"
+        assert main([
+            "generate", "planted", "--n", "40", "--communities", "4",
+            "--degree-in", "0.3", "--degree-out", "0", "--seed", str(seed),
+            "--out", str(edges), "--labels-out", str(truth),
+        ]) == 0
+        assert main([
+            "partition", "--edges", str(edges), "--nhat", "4",
+            "--truth", str(truth), "--out", str(tmp_path / "r"),
+        ]) == 0
+
     @pytest.mark.parametrize("strategy,asked", [
         (["--sweep", "2..4"], 8),      # 2 * MAX
         (["--nhat", "3"], 15),         # 5 * nhat

@@ -81,6 +81,13 @@ class TestOperator:
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             DiffusionOperator(TWO_NODE, gamma)
 
+    @pytest.mark.parametrize("dense", [np.zeros((0, 0)), np.zeros((3, 3))],
+                             ids=["empty", "edgeless"])
+    def test_rejects_graph_without_edges(self, dense):
+        # the operator divides by m, so it shares the energies' 2m = 0 rule
+        with pytest.raises(ValueError, match=r"no edges \(2m = 0\)"):
+            DiffusionOperator(SparseGraph.from_dense(dense), 1.0)
+
 
 class TestInfinityNormBound:
     def test_two_node_value(self):

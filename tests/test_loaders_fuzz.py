@@ -7,18 +7,21 @@ stay at or below MAX_ID or are at least 2^63 - 1, which the edge-list loader
 rejects: it sizes the graph by the largest id, so an id in between asks for
 a huge allocation rather than failing to parse.
 
-Each loader reads a file in one numpy pass, and the line an error names is
-the first bad line: the file cut after it fails with the same message, and
-the file cut before it loads.  Tables of edge-list and label files pin the
-exact outcome of the corner cases of each format.
+Each loader reads a file once, one np.loadtxt call per chunk of lines, and
+the line an error names is the first bad line: the file cut after it fails
+with the same message, and the file cut before it loads.  Tables of
+edge-list and label files pin the exact outcome of the corner cases of each
+format.
 """
 
+import os
 import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import balancedtv.io as io_mod
 from balancedtv import SparseGraph, load_edge_list, load_features, load_label_pairs
 from conftest import assert_same_graph
 
@@ -171,11 +174,67 @@ def test_features_name_first_bad_line(scratch, text):
     (load_edge_list, "0 1 1\n", "0 1\n", "expected 'i j w', got '0 1'"),
     (load_features, "1,2\n", "1,2,3\n", "expected 2 numbers, got '1,2,3'"),
 ], ids=["edges", "features"])
-@pytest.mark.parametrize("first,last", [(4096, 4096), (4097, 4097), (4097, 9000), (9000, 9000)])
+@pytest.mark.parametrize("first,last", [(1, 1), (4096, 4096), (4097, 4097), (4097, 9000),
+                                        (8192, 8192), (8193, 8193), (9000, 9000)])
 def test_first_bad_line_of_a_long_file(scratch, load, good, bad, fault, first, last):
-    # lines first..last are bad; the file is read again in chunks to find them
+    # lines first..last are bad; the chunk that holds line first is parsed
+    # again line by line
     text = good * (first - 1) + bad * (last - first + 1) + good * (9000 - last)
+    if load is load_features and last == 1:  # a wide first line sets the width
+        first, fault = 2, "expected 3 numbers, got '1,2'"
     assert message(load, scratch, text) == f"{scratch}: line {first}: {fault}"
+
+
+def test_bad_value_named_before_a_later_unparsable_line(scratch):
+    # the NaN is in the second chunk, the unparsable line in the third
+    lines = ["0 1 1\n"] * 9000
+    lines[4999], lines[8999] = "0 1 nan\n", "0 1\n"
+    assert message(load_edge_list, scratch, "".join(lines)) == (
+        f"{scratch}: line 5000: weight nan is not a finite nonnegative number")
+
+
+@pytest.mark.parametrize("load,header,row,loadtxt", [
+    (load_edge_list, "# i j w\n", lambda k: f"{k % 97} {k % 89} {k / 7!r}\n",
+     dict(dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)], comments=None,
+          ndmin=1)),
+    (load_label_pairs, "node,label\n", lambda k: f"{k},{k % 5}\n",
+     dict(dtype=[("node", np.int64), ("label", np.int64)], delimiter=",", comments=None,
+          ndmin=1)),
+    (load_features, "", lambda k: f"{k / 3!r},{-k},{k % 7}\n",
+     dict(dtype=np.float64, delimiter=",", ndmin=2)),
+], ids=["edges", "labels", "features"])
+def test_three_chunks_load_as_one_loadtxt_call(scratch, monkeypatch, load, header, row,
+                                               loadtxt):
+    data = [row(k) for k in range(2 * io_mod.CHUNK_LINES + 5)]
+    # a blank line after every 1,000th data line is skipped: it splits no chunk
+    scratch.write_text(header + "".join(line + "\n" * (k % 1000 == 999)
+                                        for k, line in enumerate(data)))
+    loaded, real = [], io_mod._load
+
+    def spy(*args, **kwargs):
+        values, line_of = real(*args, **kwargs)
+        loaded.append(values)
+        return values, line_of
+
+    monkeypatch.setattr(io_mod, "_load", spy)
+    load(scratch)
+    want = np.loadtxt(data, **loadtxt)
+    assert (loaded[0].dtype, loaded[0].shape) == (want.dtype, want.shape)
+    assert loaded[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_piped_bad_line_of_the_second_chunk_named():
+    text = "0 1 1\n" * 4999 + "0 1\n" + "0 1 1\n" * 100  # fits a pipe's buffer
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    try:
+        with pytest.raises(ValueError) as exc:
+            load_edge_list(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert str(exc.value) == f"/dev/fd/{read_end}: line 5000: expected 'i j w', got '0 1'"
 
 
 # each text with the graph it loads to, as from_coo arguments, or the message
