@@ -29,17 +29,20 @@ from .partition import recursive_partition, sweep_nhat
 __all__ = ["parse_args", "run", "main"]
 
 BATCH_HEADER = "seed,modularity,classification,wall_time_ms"
-# flags read only when another option is given, per command:
-# (flag, attribute, default, the enabling option's attribute, least valid value)
-KNN_FLAG = ("--knn", "knn", 13, "features", 1)
-DEPENDENT_FLAGS = {
-    "build-graph": (KNN_FLAG,),
-    "partition": (
-        KNN_FLAG,
-        ("--supervision-weight", "supervision_weight", 100.0, "supervision", 0),
-        ("--split-factor", "split_factor", 2, "recursive", 2),
-    ),
-}
+# each numeric flag's least value, by attribute, and whether it must also be
+# finite (--supervision-weight inf pins nodes); NaN fails.  --gamma is apart
+LEAST = {"repeat": (1, False), "seed": (0, False), "nhat": (1, False),
+         "knn": (1, False), "supervision_weight": (0, False), "split_factor": (2, False),
+         "n": (1, True), "dim": (2, True), "noise": (0, True),
+         "communities": (1, True), "degree_in": (0, True), "degree_out": (0, True)}
+# flags read only when another option is given: (its attribute, the default)
+ONLY_WITH = {"knn": ("features", 13), "supervision_weight": ("supervision", 100.0),
+             "split_factor": ("recursive", 2)}
+
+
+def _default_help(attr: str) -> str:
+    needs, default = ONLY_WITH[attr]
+    return f"default {default:g}; only with --{needs}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,8 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--edges", help="edge-list input file")
     source.add_argument("--features", help="feature CSV input file")
     for knn_user in (build, part):
-        knn_user.add_argument("--knn", type=int, metavar="K",
-                              help="default 13; only with --features")
+        knn_user.add_argument("--knn", type=int, metavar="K", help=_default_help("knn"))
     part.add_argument("--gamma", type=float, default=1.0)
     strat = part.add_mutually_exclusive_group(required=True)
     strat.add_argument("--nhat", type=int, help="fixed community count")
@@ -85,13 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="try each count in the range, keep the best modularity")
     strat.add_argument("--recursive", action="store_true",
                        help="recursive splitting gated on modularity gain")
-    part.add_argument("--split-factor", type=int,
-                      help="parts per recursive split (default 2)")
+    part.add_argument("--split-factor", type=int, help="parts per recursive split; "
+                      + _default_help("split_factor"))
     part.add_argument("--seed", type=int, default=0)
     part.add_argument("--repeat", type=int, default=1)
     part.add_argument("--supervision", help="CSV node,label of known labels")
     part.add_argument("--supervision-weight", type=float,
-                      help="default 100; only with --supervision")
+                      help=_default_help("supervision_weight"))
     part.add_argument("--truth", help="ground-truth CSV for scoring")
     part.add_argument("--out", required=True, metavar="PREFIX")
     part.add_argument("--trace", action="store_true",
@@ -108,8 +110,9 @@ def parse_args(argv) -> argparse.Namespace:
     """Resolve a command line into validated options; for ``partition`` a
     ``--sweep`` range becomes a ``range``.
 
-    Raises SystemExit(2) with a message naming the offending flag or file on
-    any usage error.
+    A flag of ``ONLY_WITH`` is an error without its option and defaults with
+    it; each numeric flag must meet its ``LEAST`` bound.  Raises SystemExit(2)
+    with a message naming the offending flag or file on any usage error.
     """
     parser = _build_parser()
     options = parser.parse_args(argv)
@@ -118,30 +121,22 @@ def parse_args(argv) -> argparse.Namespace:
         path = getattr(options, attr, None)
         if path is not None and (os.path.isdir(path) or not os.path.exists(path)):
             parser.error(f"--{attr.replace('_', '-')}: cannot read file {path!r}")
-    for attr, least in (("repeat", 1), ("seed", 0)):
-        if getattr(options, attr, least) < least:
-            parser.error(f"--{attr}: must be at least {least}")
-
-    for flag, attr, default, needs, least in DEPENDENT_FLAGS.get(options.command, ()):
-        value = getattr(options, attr)
-        if not getattr(options, needs):
-            if value is not None:
-                parser.error(f"{flag}: only used with --{needs}")
-        elif value is None:
+    for attr, (needs, default) in ONLY_WITH.items():
+        if not getattr(options, needs, None):
+            if getattr(options, attr, None) is not None:
+                parser.error(f"--{attr.replace('_', '-')}: only used with --{needs}")
+        elif getattr(options, attr) is None:
             setattr(options, attr, default)
-        elif least is not None and not value >= least:  # NaN fails too
-            parser.error(f"{flag}: must be at least {least}")
+    for attr, (least, finite) in LEAST.items():
+        value = getattr(options, attr, None)  # None: not this command's, or not given
+        if value is not None and (not value >= least or finite and value == float("inf")):
+            parser.error(f"--{attr.replace('_', '-')}: must be "
+                         f"{'finite and ' if finite else ''}at least {least}")
     # k < N is left to the run: it needs the feature file
 
-    if options.command == "generate":
-        bounds = ([("n", 1), ("dim", 2), ("noise", 0)] if options.generator == "two-moons"
-                  else [("n", 1), ("communities", 1), ("degree_in", 0), ("degree_out", 0)])
-        for attr, least in bounds:
-            if not least <= getattr(options, attr) < float("inf"):  # NaN fails too
-                parser.error(f"--{attr.replace('_', '-')}: must be finite and at least {least}")
-        if getattr(options, "communities", 0) > options.n:
-            parser.error("--communities: must not exceed --n")
-    elif options.command == "partition":
+    if getattr(options, "communities", 0) > getattr(options, "n", 0):
+        parser.error("--communities: must not exceed --n")
+    if options.command == "partition":
         if not 0 < options.gamma < float("inf"):
             parser.error("--gamma: must be positive and finite")
         if options.recursive:
@@ -157,8 +152,6 @@ def parse_args(argv) -> argparse.Namespace:
             if not 1 <= lo <= hi:
                 parser.error("--sweep: need 1 <= MIN <= MAX")
             options.sweep = range(lo, hi + 1)
-        elif options.nhat < 1:
-            parser.error("--nhat: must be at least 1")
     return options
 
 
@@ -360,23 +353,26 @@ def _run_partition(options) -> int:
 
 
 def _run_generate(options) -> int:
-    # the parser has checked every other argument of the generators
-    if options.generator == "two-moons":
-        try:
-            features, labels = two_moons(options.n, options.dim, options.noise, options.seed)
-        except ValueError as exc:
-            raise ValueError(f"--noise {options.noise}: {exc}") from None
-        io.save_features(options.out, features)
-    else:
-        try:
-            graph, labels = planted_partition(
-                options.n, options.communities, options.degree_in,
-                options.degree_out, options.seed,
-            )
-        except ValueError as exc:
-            raise ValueError(f"--degree-in/--degree-out with --n {options.n} and "
-                             f"--communities {options.communities}: {exc}") from None
-        io.save_edge_list(options.out, graph)
+    # the parser has checked every other argument of the generators; the
+    # largest array holds n x dim float64 features, or n int64 labels
+    moons = options.generator == "two-moons"
+    try:
+        if 8 * options.n * (options.dim if moons else 1) > np.iinfo(np.intp).max:
+            raise MemoryError  # numpy refuses such an array before it allocates
+        if moons:
+            data, labels = two_moons(options.n, options.dim, options.noise, options.seed)
+        else:
+            data, labels = planted_partition(options.n, options.communities,
+                                             options.degree_in, options.degree_out,
+                                             options.seed)
+    except MemoryError:
+        size = f"--n {options.n}" + (f" and --dim {options.dim}" if moons else "")
+        raise ValueError(f"{size}: too large for memory") from None
+    except ValueError as exc:
+        blamed = (f"--noise {options.noise}" if moons else "--degree-in/--degree-out with "
+                  f"--n {options.n} and --communities {options.communities}")
+        raise ValueError(f"{blamed}: {exc}") from None
+    (io.save_features if moons else io.save_edge_list)(options.out, data)
     if options.labels_out:
         io.save_labels(options.labels_out, labels)
     print(f"wrote {options.out}")

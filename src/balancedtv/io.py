@@ -61,12 +61,14 @@ def load_edge_list(path) -> SparseGraph:
 
 def _edge_problems(edges, line_of):
     i, j, w = edges["i"], edges["j"], edges["w"]
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN follows a non-finite weight
+        total = np.cumsum(w)
     return [((i < 0) | (j < 0), lambda row: "negative node index"),
             # the node count must fit int64
             (np.maximum(i, j) == INT64_MAX, lambda row: f"node index {INT64_MAX} too large"),
             (~((w >= 0) & (w < np.inf)),
              lambda row: f"weight {w[row]} is not a finite nonnegative number"),
-            (np.cumsum(w) > WEIGHT_SUM_LIMIT, lambda row: "total edge weight overflows")]
+            (total > WEIGHT_SUM_LIMIT, lambda row: "total edge weight overflows")]
 
 
 def save_edge_list(path, graph: SparseGraph) -> None:

@@ -137,6 +137,18 @@ class TestParseArgs:
             ])
         assert "--sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy,message", [
+        (["--nhat", "0"], "--nhat: must be at least 1"),
+        (["--sweep", "0..3"], "--sweep: need 1 <= MIN <= MAX"),
+        (["--sweep", "5..2"], "--sweep: need 1 <= MIN <= MAX"),
+    ])
+    def test_count_range_checked_at_parse_time(self, tmp_path, capsys, strategy, message):
+        edges = write_cliques(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["partition", "--edges", str(edges), *strategy, "--out", "x"])
+        assert exc.value.code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+
     def test_supervision_with_recursive_rejected(self, tmp_path, capsys):
         edges = write_cliques(tmp_path)
         sup = tmp_path / "sup.csv"
@@ -705,11 +717,30 @@ class TestEndToEnd:
         ("planted --n 10 --communities 2 --degree-in 20",
          "--degree-in/--degree-out with --n 10 and --communities 2: "
          "within-block edge probability 5 outside [0, 1]"),
+        # arrays of more than intp-max bytes, which numpy refuses before allocating
+        (f"two-moons --n {2**62} --dim 2", f"--n {2**62} and --dim 2: too large for memory"),
+        (f"planted --n {2**62} --communities 2", f"--n {2**62}: too large for memory"),
     ])
     def test_infeasible_generator_values_named(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.txt"
         assert main(["generate", *argv.split(), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator,argv,named", [
+        ("two_moons", "two-moons --n 1000000000000 --dim 2", "--n 1000000000000 and --dim 2"),
+        ("planted_partition", "planted --n 1000000000000", "--n 1000000000000"),
+    ])
+    def test_generator_out_of_memory_names_size_flags(self, tmp_path, capsys, monkeypatch,
+                                                      generator, argv, named):
+        # a real request of terabytes can succeed under memory overcommit
+        def refuse(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(f"balancedtv.cli.{generator}", refuse)
+        out = tmp_path / "out.txt"
+        assert main(["generate", *argv.split(), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {named}: too large for memory\n"
         assert not out.exists()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

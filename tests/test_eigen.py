@@ -245,6 +245,16 @@ class TestBasisValidation:
         with pytest.raises(ValueError, match=message):
             basis.validate()
 
+    @pytest.mark.parametrize("eigenvalues,columns,message", [
+        ([[0.0], [1.0]], 2, "eigenvalues must be 1-d"),
+        ([0.0, 1.0], 3, "one eigenvector column per eigenvalue"),
+        ([1.0, 0.0], 2, "eigenvalues must be ascending"),
+    ])
+    def test_rejects_malformed_pairs(self, rng, eigenvalues, columns, message):
+        op = DiffusionOperator(random_graph(rng, 10), 1.0)
+        with pytest.raises(ValueError, match=message):
+            EigenBasis(op, np.array(eigenvalues), np.eye(10, columns))
+
     @pytest.mark.parametrize("rows", [9, 11])
     def test_rejects_wrong_row_count(self, rng, rows):
         # a basis is one row per node of its operator's graph, so no solve

@@ -81,6 +81,16 @@ class TestSparseGraph:
         with pytest.raises(ValueError, match="square"):
             SparseGraph.from_dense(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("dense,message", [
+        ([[0.0, -1.0], [-1.0, 0.0]], "negative edge weight"),
+        ([[1.0, 1.0], [1.0, 0.0]], "self-loop stored on the diagonal"),
+        ([[0.0, 1.0], [0.5, 0.0]], "not symmetric"),
+    ])
+    def test_validate_rechecks_a_bare_matrix(self, dense, message):
+        graph = SparseGraph(sp.csr_matrix(np.array(dense)))  # no constructor check
+        with pytest.raises(ValueError, match=message):
+            graph.validate()
+
     @pytest.mark.parametrize("w", [np.inf, np.nan])
     def test_rejects_non_finite_weight(self, w):
         with pytest.raises(ValueError, match="finite"):

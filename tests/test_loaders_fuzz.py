@@ -253,6 +253,9 @@ EDGE_CASES = [
     ("0 0 nan\n", "line 1: weight nan is not a finite nonnegative number"),
     ("0 1 -0.0\n1 2 1\n", (3, [0, 1], [1, 2], [-0.0, 1.0])),
     ("0 1 1e307\n1 2 1e307\n0 2 1e308\n", "line 3: total edge weight overflows"),
+    # running sums that overflow to inf or turn NaN: numpy must not warn
+    ("0 1 1e308\n1 2 1e308\n2 3 1e308\n", "line 1: total edge weight overflows"),
+    ("0 1 inf\n1 2 -inf\n", "line 1: weight inf is not a finite nonnegative number"),
     ("0 1 nan\n0 1\n", "line 1: weight nan is not a finite nonnegative number"),
     ("# i j w\r\n0 1 1\r\n1 2 0.5\r\n", (3, [0, 1], [1, 2], [1.0, 0.5])),
     ("0 1 1\n   \n1 2 1\n", (3, [0, 1], [1, 2], [1.0, 1.0])),

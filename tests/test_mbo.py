@@ -171,6 +171,10 @@ class TestThreshold:
         with pytest.raises(ValueError, match="NaN"):
             threshold(np.array([[np.nan, 1.0]]))
 
+    def test_rejects_vector(self):
+        with pytest.raises(ValueError, match="N x nhat matrix"):
+            threshold(np.array([0.2, 0.5]))
+
 
 class TestFreezingBounds:
     """One exact-exponential step below the timestep bounds never moves a
@@ -243,6 +247,11 @@ class TestMboRun:
             diffuse(basis, labels_to_matrix(np.zeros(60, dtype=np.int64), 3), dt)
         with pytest.raises(ValueError, match=message):
             fidelity_step(np.zeros((60, 3)), Supervision([0], [1], 1.0), dt)
+
+    def test_rejects_no_community(self):
+        basis = full_basis(TWO_NODE, 1.0)
+        with pytest.raises(ValueError, match="nhat must be at least 1"):
+            mbo_run(basis, 0, np.zeros(2, dtype=np.int64))
 
     def test_frozen_timestep_returns_init(self, rng):
         for _ in range(5):

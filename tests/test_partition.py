@@ -78,6 +78,16 @@ class TestKmeansInit:
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 3)
         assert np.array_equal(kmeans_init(basis, 1, seed=0), np.zeros(10))
 
+    def test_one_community_per_node(self, rng):
+        g = random_graph(rng, 6)
+        basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 6)
+        assert np.array_equal(kmeans_init(basis, 6, seed=0), np.arange(6))
+
+    def test_rejects_no_community(self, rng):
+        basis = smallest_eigenpairs(DiffusionOperator(random_graph(rng, 10), 1.0), 3)
+        with pytest.raises(ValueError, match="nhat must be at least 1"):
+            kmeans_init(basis, 0)
+
     def test_seed_determinism(self, rng):
         g = random_graph(rng, 30)
         basis = smallest_eigenpairs(DiffusionOperator(g, 1.0), 6)
